@@ -14,6 +14,15 @@ two forms determine each other (an allowance answer is the best entry over
 all spent weights within it), and ``lookup`` exposes that view.  Values are
 minimum-cost deletion pairs with deterministic lexicographic tie-breaking
 on (sorted vertex ids, sorted edge pairs).
+
+An entry is ``(cost, u_mask, d_mask)``: bit i of ``u_mask`` deletes the
+i-th smallest vertex id, bit j of ``d_mask`` the j-th smallest edge pair.
+Because bit order is id order, the tie-break is read off the masks in a
+few big-int operations: below the lowest bit where two masks differ they
+agree, and the mask holding that bit sorts first exactly when the other
+mask has a higher bit (otherwise the other is a proper prefix).  Sorted
+ids and edge pairs are built once, for the chosen root entry only.
+Per-node work (``_guard`` included) touches only the node's bag.
 """
 
 from __future__ import annotations
@@ -45,66 +54,6 @@ class _Ctx:
     bag_idx: list[tuple[int, ...]]      # node -> sorted bag (as indices)
     bag_mask: list[int]
     incident: list[list[tuple[int, int, int]]]  # node -> (edge_no, other, bit)
-
-    def vertex_sig(self, mask: int) -> tuple[int, ...]:
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(self.ids[i])
-            mask >>= 1
-            i += 1
-        return tuple(out)
-
-    def edge_sig(self, mask: int) -> tuple[tuple[int, int], ...]:
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(self.edges[i])
-            mask >>= 1
-            i += 1
-        return tuple(out)
-
-    def mask_vertex_weight(self, mask: int) -> int:
-        total = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                total += self.wv[i]
-            mask >>= 1
-            i += 1
-        return total
-
-    def mask_vertex_cost(self, mask: int) -> int:
-        total = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                total += self.cv[i]
-            mask >>= 1
-            i += 1
-        return total
-
-    def mask_edge_weight(self, mask: int) -> int:
-        total = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                total += self.we[i]
-            mask >>= 1
-            i += 1
-        return total
-
-    def mask_edge_cost(self, mask: int) -> int:
-        total = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                total += self.ce[i]
-            mask >>= 1
-            i += 1
-        return total
 
 
 def _prepare(inst: Instance, ntd: NiceTreeDecomposition) -> _Ctx:
@@ -145,15 +94,42 @@ def _prepare(inst: Instance, ntd: NiceTreeDecomposition) -> _Ctx:
     return ctx
 
 
-# entry: (cost, u_sig, d_sig, u_mask, d_mask)
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-def _update(table: dict, key: tuple, cost: int, u_mask: int, d_mask: int,
-            ctx: _Ctx) -> None:
+
+def _set_less(a: int, b: int) -> bool:
+    """Whether the ascending bit positions of a precede those of b as tuples."""
+    diff = a ^ b
+    if not diff:
+        return False
+    low = diff & -diff
+    # below `low` both agree; the set holding `low` is smaller exactly when
+    # the other set still has a higher element
+    return b > low if a & low else a < low
+
+
+def _entry_less(a: tuple, b: tuple) -> bool:
+    """Entry order: cost, then sorted vertex ids, then sorted edge pairs."""
+    if a[0] != b[0]:
+        return a[0] < b[0]
+    if a[1] != b[1]:
+        return _set_less(a[1], b[1])
+    return _set_less(a[2], b[2])
+
+
+# entry: (cost, u_mask, d_mask)
+
+def _update(table: dict, key: tuple, cost: int, u_mask: int, d_mask: int) -> None:
     cur = table.get(key)
     if cur is not None and cur[0] < cost:
         return
-    cand = (cost, ctx.vertex_sig(u_mask), ctx.edge_sig(d_mask), u_mask, d_mask)
-    if cur is None or cand[:3] < cur[:3]:
+    cand = (cost, u_mask, d_mask)
+    if cur is None or _entry_less(cand, cur):
         table[key] = cand
 
 
@@ -175,8 +151,7 @@ def _guard(ctx: _Ctx, node: int, table: dict) -> None:
     # key count can never exceed the size of the key space
     b = len(ctx.bag_idx[node])
     bag_mask = ctx.bag_mask[node]
-    be = sum(1 for i, (a, c) in enumerate(ctx.edges)
-             if (bag_mask >> ctx.idx[a]) & 1 and (bag_mask >> ctx.idx[c]) & 1)
+    be = sum(bin(ctx.adj[i] & bag_mask).count("1") for i in ctx.bag_idx[node]) // 2
     bound = (2 ** b) * (2 ** be) * (ctx.span + 1) ** b \
         * (ctx.inst.k_v + 1) * (ctx.inst.k_e + 1)
     if ctx.connected:
@@ -191,7 +166,7 @@ def process_node(ctx: _Ctx, node: int, child_tables: list[dict]) -> dict:
     kind = ctx.ntd.kinds[node]
     if kind == LEAF:
         key = (0, 0, (), 0, 0) + (((), False) if ctx.connected else ())
-        table = {key: (0, (), (), 0, 0)}
+        table = {key: (0, 0, 0)}
     elif kind == INTRODUCE:
         table = _introduce(ctx, node, child_tables[0])
     elif kind == FORGET:
@@ -213,12 +188,12 @@ def _introduce(ctx: _Ctx, node: int, child: dict) -> dict:
     table: dict = {}
     for key, ent in child.items():
         x, y, dmg, uv, ue = key[:5]
-        cost, _, _, u_mask, d_mask = ent
+        cost, u_mask, d_mask = ent
         # branch: delete v
         uv2 = uv + ctx.wv[v]
         if uv2 <= inst.k_v:
             key2 = (x | v_bit, y, dmg, uv2, ue) + key[5:]
-            _update(table, key2, cost + ctx.cv[v], u_mask | v_bit, d_mask, ctx)
+            _update(table, key2, cost + ctx.cv[v], u_mask | v_bit, d_mask)
         # branch: keep v, choosing the subset of its kept-bag edges to delete
         if ctx.connected and key[6]:
             continue  # a closed component tolerates no new kept vertex
@@ -254,7 +229,7 @@ def _introduce(ctx: _Ctx, node: int, child: dict) -> dict:
                 key2 = (x, y | l_mask, dmg2, uv, ue2, _relabel(labels), False)
             else:
                 key2 = (x, y | l_mask, dmg2, uv, ue2)
-            _update(table, key2, cost + extra_cost, u_mask, d_mask | l_mask, ctx)
+            _update(table, key2, cost + extra_cost, u_mask, d_mask | l_mask)
     return table
 
 
@@ -266,7 +241,7 @@ def _forget(ctx: _Ctx, node: int, child: dict) -> dict:
     table: dict = {}
     for key, ent in child.items():
         x, y, dmg, uv, ue = key[:5]
-        cost, _, _, u_mask, d_mask = ent
+        cost, u_mask, d_mask = ent
         kept_before = _kept(child_bag, x)
         if (x >> v) & 1:
             # v was deleted: its kept bag neighbours take one damage each
@@ -281,7 +256,7 @@ def _forget(ctx: _Ctx, node: int, child: dict) -> dict:
             if not ok:
                 continue
             key2 = (x & ~v_bit, y, tuple(dmg2), uv, ue) + key[5:]
-            _update(table, key2, cost, u_mask, d_mask, ctx)
+            _update(table, key2, cost, u_mask, d_mask)
             continue
         # v kept: its final degree is fixed now
         pos = bisect_left(kept_before, v)
@@ -319,7 +294,7 @@ def _forget(ctx: _Ctx, node: int, child: dict) -> dict:
                     _relabel(rest), closed)
         else:
             key2 = (x, y & ~l_mask, tuple(dmg2), uv, ue)
-        _update(table, key2, cost, u_mask, d_mask, ctx)
+        _update(table, key2, cost, u_mask, d_mask)
     return table
 
 
@@ -338,13 +313,15 @@ def _join(ctx: _Ctx, node: int, left: dict, right: dict) -> dict:
         if not partners:
             continue
         if x not in xw_cache:
-            xw_cache[x] = (ctx.mask_vertex_weight(x), ctx.mask_vertex_cost(x))
+            xw_cache[x] = (sum(ctx.wv[i] for i in _bits(x)),
+                           sum(ctx.cv[i] for i in _bits(x)))
         if y not in yw_cache:
-            yw_cache[y] = (ctx.mask_edge_weight(y), ctx.mask_edge_cost(y))
+            yw_cache[y] = (sum(ctx.we[i] for i in _bits(y)),
+                           sum(ctx.ce[i] for i in _bits(y)))
         xw, xc = xw_cache[x]
         yw, yc = yw_cache[y]
         dmgl, uvl, uel = keyl[2], keyl[3], keyl[4]
-        costl, _, _, uml, dml = entl
+        costl, uml, dml = entl
         kept = _kept(bag, x)
         for keyr, entr in partners:
             uv2 = uvl + keyr[3] - xw
@@ -382,9 +359,8 @@ def _join(ctx: _Ctx, node: int, left: dict, right: dict) -> dict:
                         _relabel([find(i) for i in range(len(kept))]), closed)
             else:
                 key2 = (x, y, dmg2, uv2, ue2)
-            costr = entr[0]
-            cost2 = costl + costr - xc - yc
-            _update(table, key2, cost2, uml | entr[3], dml | entr[4], ctx)
+            costr, umr, dmr = entr
+            _update(table, key2, costl + costr - xc - yc, uml | umr, dml | dmr)
     return table
 
 
@@ -409,7 +385,7 @@ def lookup(table: dict, x_mask: int, y_mask: int, dmg: tuple, h_v: int, h_e: int
             continue
         if connected_key and key[5:] != connected_key:
             continue
-        if best is None or ent[:3] < best[:3]:
+        if best is None or _entry_less(ent, best):
             best = ent
     return best
 
@@ -428,13 +404,13 @@ def best_within(ctx: _Ctx, answers, h_v: int, h_e: int) -> Solution | None:
     for uv, ue, ent in answers:
         if uv > h_v or ue > h_e or ent[0] > ctx.inst.cost_budget:
             continue
-        if best is None or ent[:3] < best[:3]:
+        if best is None or _entry_less(ent, best):
             best = ent
     if best is None:
         return None
-    u = frozenset(best[1])
-    d = frozenset(best[2])
-    return Solution(u, d, best[0])
+    cost, u_mask, d_mask = best
+    return Solution(frozenset(ctx.ids[i] for i in _bits(u_mask)),
+                    frozenset(ctx.edges[i] for i in _bits(d_mask)), cost)
 
 
 class PreparedSolve:

@@ -277,11 +277,14 @@ def compute_candidate_sets(inst: Instance, pd: ProtrusionDecomposition, *,
                 sol = ps.solve(hv, he)
                 if sol is None:
                     continue
-                assert not sol.deleted_vertices & gadget
-                assert sol.deleted_vertices <= part.vertices
+                if sol.deleted_vertices & gadget:
+                    raise RuntimeError("part solution deletes a gadget vertex")
+                if not sol.deleted_vertices <= part.vertices:
+                    raise RuntimeError("part solution deletes outside the part")
                 w_i |= sol.deleted_vertices
                 l_i |= sol.deleted_edges
-        assert all(e[0] in part.vertices or e[1] in part.vertices for e in l_i)
+        if not all(e[0] in part.vertices or e[1] in part.vertices for e in l_i):
+            raise RuntimeError("candidate edge does not touch its part")
         per_part.append((frozenset(w_i), frozenset(l_i)))
         w |= w_i
         l |= l_i
@@ -384,7 +387,8 @@ def _inst_contract(inst: Instance, a: int, b: int, z: int, *, delta_z: int,
         if common:
             raise AssertionError("inherit policy with merged parallel edges")
     g2, minted = g.contract_edge(a, b, new_id=z)
-    assert minted == z
+    if minted != z:
+        raise RuntimeError(f"contraction minted {minted}, expected {z}")
     delta = {v: inst.delta[v] for v in g2.vertices if v != z}
     delta.update({v: t for v, t in delta_updates.items() if v in delta})
     delta[z] = delta_z
@@ -591,7 +595,8 @@ def _rule_s_neighbour(state: KernelState) -> str:
     for v in sorted(g.vertices):
         k = len(g.neighbors(v) & sat)
         if k and inst.delta[v] < k:
-            assert v not in state.w, "satisfied-neighbour count on a candidate"
+            if v in state.w:
+                raise RuntimeError("satisfied-neighbour count on a candidate")
             state.record("s-neighbour", (v,), inst, DECIDED_NO)
             return DECIDED_NO
     return NOT_APPLICABLE
@@ -611,7 +616,8 @@ def _rule_s_contraction_1(state: KernelState) -> str:
         before = inst
         updates = {}
         for x in common:
-            assert inst.delta[x] >= 2, "common neighbour below two targets"
+            if inst.delta[x] < 2:
+                raise RuntimeError("common neighbour below two targets")
             updates[x] = inst.delta[x] - 1
         z = state.next_id
         state.next_id += 1
@@ -705,7 +711,8 @@ def _rule_s_contraction_2(state: KernelState) -> str:
         state.next_id += 1
         g_cur = cur.graph
         new_deg = len((g_cur.neighbors(u) | g_cur.neighbors(v)) - {u, v})
-        assert new_deg - slack >= 0, "merged target below zero"
+        if new_deg - slack < 0:
+            raise RuntimeError("merged target below zero")
         state.inst = _inst_contract(
             cur, u, v, y, delta_z=new_deg - slack,
             weight_z=inst.k_v + 1, cost_z=0,

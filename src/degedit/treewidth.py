@@ -9,7 +9,10 @@ orders with memoized failure states, and is refused above a size cap.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import cached_property
+
 from .errors import CapacityError, ParseError
 from .graph import Graph
 
@@ -30,14 +33,18 @@ class TreeDecomposition:
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
+    @cached_property
+    def _tree_adj(self) -> dict[int, list[int]]:
+        adj: dict[int, list[int]] = {}
         for a, b in self.tree_edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        for nbrs in adj.values():
+            nbrs.sort()
+        return adj
+
+    def neighbors(self, i: int) -> list[int]:
+        return list(self._tree_adj.get(i, ()))
 
 
 @dataclass(frozen=True)
@@ -90,33 +97,58 @@ def _eliminate(adj: dict[int, set[int]], v: int) -> None:
 
 
 def _fill_count(adj: dict[int, set[int]], v: int) -> int:
-    nbrs = sorted(adj[v])
-    missing = 0
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if b not in adj[a]:
-                missing += 1
-    return missing
+    """Non-adjacent pairs among v's neighbours."""
+    nbrs = adj[v]
+    return sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2
+
+
+def _greedy_order(g: Graph, key, affected) -> list[int]:
+    """Repeatedly eliminate the vertex minimising (key, id).
+
+    A heap holds (key, id) pairs; an entry is stale once its vertex is gone
+    or its key changed, and is dropped when popped.  After eliminating v
+    only the vertices in ``affected(adj, nbrs)`` get new keys, where nbrs
+    is N(v) before the elimination.
+    """
+    adj = _adj_dict(g)
+    current = {v: key(adj, v) for v in adj}
+    heap = [(k, v) for v, k in current.items()]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        k, v = heapq.heappop(heap)
+        if current.get(v) != k:
+            continue
+        order.append(v)
+        del current[v]
+        nbrs = adj[v]
+        _eliminate(adj, v)
+        for x in affected(adj, nbrs):
+            k = key(adj, x)
+            if current[x] != k:
+                current[x] = k
+                heapq.heappush(heap, (k, x))
+    return order
 
 
 def _min_degree_order(g: Graph) -> list[int]:
-    adj = _adj_dict(g)
-    order = []
-    while adj:
-        v = min(adj, key=lambda x: (len(adj[x]), x))
-        order.append(v)
-        _eliminate(adj, v)
-    return order
+    # only the eliminated vertex's neighbours change degree
+    return _greedy_order(g, lambda adj, x: len(adj[x]), lambda adj, nbrs: nbrs)
+
+
+def _fill_affected(adj: dict[int, set[int]], nbrs: set[int]) -> set[int]:
+    # fill edges join vertices of N(v), so outside N(v) a fill count changes
+    # only for vertices with at least two neighbours in N(v)
+    seen: set[int] = set()
+    out = set(nbrs)
+    for a in nbrs:
+        out |= adj[a] & seen
+        seen |= adj[a]
+    return out
 
 
 def _min_fill_order(g: Graph) -> list[int]:
-    adj = _adj_dict(g)
-    order = []
-    while adj:
-        v = min(adj, key=lambda x: (_fill_count(adj, x), x))
-        order.append(v)
-        _eliminate(adj, v)
-    return order
+    return _greedy_order(g, _fill_count, _fill_affected)
 
 
 def from_elimination_order(g: Graph, order: list[int]) -> TreeDecomposition:
@@ -280,12 +312,15 @@ def validate(g: Graph, td: TreeDecomposition | NiceTreeDecomposition
         edges = td.tree_edges
         if not _is_tree(len(bags), edges):
             return DecompositionVerdict(False, "tree structure invalid")
-    covered = frozenset().union(*bags) if bags else frozenset()
-    if covered != g.vertices:
+    holders: dict[int, list[int]] = {}  # vertex -> bags containing it, ascending
+    for i, b in enumerate(bags):
+        for x in b:
+            holders.setdefault(x, []).append(i)
+    if holders.keys() != g.vertices:
         return DecompositionVerdict(
             False, "condition (i) failed: bag union differs from vertex set")
     for u, v in g.edges():
-        if not any(u in b and v in b for b in bags):
+        if not any(v in bags[i] for i in holders[u]):
             return DecompositionVerdict(
                 False, f"condition (ii) failed: edge ({u}, {v}) not in any bag")
     adj: dict[int, set[int]] = {i: set() for i in range(len(bags))}
@@ -293,8 +328,8 @@ def validate(g: Graph, td: TreeDecomposition | NiceTreeDecomposition
         adj[a].add(b)
         adj[b].add(a)
     for x in g.vertices:
-        nodes = {i for i, b in enumerate(bags) if x in b}
-        start = min(nodes)
+        nodes = set(holders[x])
+        start = holders[x][0]
         seen = {start}
         stack = [start]
         while stack:

@@ -77,7 +77,7 @@ def test_process_node_leaf_shape():
     for h_v in range(inst.k_v + 1):
         for h_e in range(inst.k_e + 1):
             ent = lookup(leaf_table, 0, 0, (), h_v, h_e)
-            assert ent is not None and ent[0] == 0 and ent[1] == () and ent[2] == ()
+            assert ent == (0, 0, 0)
     assert len(leaf_table) == 1  # nothing else is representable at a leaf
 
 
