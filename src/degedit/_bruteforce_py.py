@@ -1,8 +1,7 @@
 """Pure-Python enumeration kernel for the exact brute-force solver.
 
 Works on index-encoded instances (vertices 0..n-1, adjacency bitmasks,
-edge endpoint arrays).  The compiled extension ``_bruteforce`` implements
-the identical contract; `degedit.oracle` picks one at import time.
+edge endpoint arrays), as `degedit.oracle` encodes them.
 
 Enumeration is over efficient candidate pairs only: deleted edges are drawn
 from the graph that remains after the vertex deletions, so no deleted edge
@@ -13,8 +12,6 @@ because dropping edges incident to deleted vertices never raises cost.
 from __future__ import annotations
 
 from itertools import combinations
-
-BACKEND = "python"
 
 
 def solve_exact(n, adj, eu, ev, delta, wv, we, cv, ce,

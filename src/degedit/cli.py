@@ -33,14 +33,16 @@ def _read_instance(path: str):
 
 
 def _solve_with(inst, method: str, width_cap: int) -> Solution | None:
+    # the DP validates the nice decomposition it reads against the graph,
+    # so to_nice only checks the tree structure here
     if method == "dp":
-        ntd = to_nice(decompose(inst.graph), inst.graph)
+        ntd = to_nice(decompose(inst.graph))
         return solve_auto(inst, ntd, enforce_window=False)
     if method == "brute":
         rep = brute_force_min_cost(inst)
         return rep.best() if rep.feasible else None
     # auto: prefer the dynamic program while the decomposition stays narrow
-    ntd = to_nice(decompose(inst.graph), inst.graph)
+    ntd = to_nice(decompose(inst.graph))
     if ntd.width <= width_cap:
         return solve_auto(inst, ntd, enforce_window=False)
     if inst.graph.n <= DEFAULT_VERTEX_CAP and inst.graph.m <= DEFAULT_EDGE_CAP:

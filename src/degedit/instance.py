@@ -8,7 +8,7 @@ graph is connected; the empty graph counts as connected).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from .graph import Graph, edge_key
@@ -71,6 +71,109 @@ class Instance:
         span = self.k_v + self.k_e
         return all(self.delta[v] <= self.graph.degree(v) <= self.delta[v] + span
                    for v in self.graph.vertices)
+
+
+# -- instance edits --------------------------------------------------------------
+#
+# Every rewrite rule (normalization and kernel reduction) edits an instance
+# through these functions; each returns a fresh, re-validated instance.
+
+
+def delete_vertices(inst: Instance, vs: Iterable[int], *, charge: bool
+                    ) -> Instance | None:
+    """Remove vs, optionally paying their weight and cost; None when a
+    charged removal would drive a budget negative."""
+    vs = frozenset(vs)
+    k_v, cbudget = inst.k_v, inst.cost_budget
+    if charge:
+        k_v -= sum(inst.weight_v[v] for v in vs)
+        cbudget -= sum(inst.cost_v[v] for v in vs)
+        if k_v < 0 or cbudget < 0:
+            return None
+    g = inst.graph.delete_vertices(vs)
+    keep_e = g.edge_set()
+    return replace(inst, graph=g,
+                   delta={v: inst.delta[v] for v in g.vertices},
+                   weight_v={v: inst.weight_v[v] for v in g.vertices},
+                   weight_e={e: inst.weight_e[e] for e in keep_e},
+                   cost_v={v: inst.cost_v[v] for v in g.vertices},
+                   cost_e={e: inst.cost_e[e] for e in keep_e},
+                   k_v=k_v, cost_budget=cbudget)
+
+
+def with_delta(inst: Instance, updates: Mapping[int, int]) -> Instance:
+    delta = dict(inst.delta)
+    delta.update(updates)
+    return replace(inst, delta=delta)
+
+
+def delete_edge(inst: Instance, e: tuple[int, int],
+                delta_updates: Mapping[int, int]) -> Instance:
+    g = inst.graph.delete_edge(*e)
+    delta = dict(inst.delta)
+    delta.update(delta_updates)
+    weight_e = {x: wgt for x, wgt in inst.weight_e.items() if x != e}
+    cost_e = {x: c for x, c in inst.cost_e.items() if x != e}
+    return replace(inst, graph=g, delta=delta, weight_e=weight_e, cost_e=cost_e)
+
+
+def contract(inst: Instance, a: int, b: int, z: int, *, delta_z: int,
+             weight_z: int, cost_z: int, edge_policy,
+             delta_updates: Mapping[int, int]) -> Instance:
+    """Contract edge ab into z.  ``edge_policy`` is ("fixed", w, c) to
+    restamp every edge at z, or "inherit" (requires no merged parallels)."""
+    g = inst.graph
+    if edge_policy == "inherit":
+        common = (g.neighbors(a) & g.neighbors(b)) - {a, b}
+        if common:
+            raise RuntimeError("inherit policy with merged parallel edges")
+    g2, minted = g.contract_edge(a, b, new_id=z)
+    if minted != z:
+        raise RuntimeError(f"contraction minted {minted}, expected {z}")
+    delta = {v: inst.delta[v] for v in g2.vertices if v != z}
+    delta.update({v: t for v, t in delta_updates.items() if v in delta})
+    delta[z] = delta_z
+    weight_v = {v: inst.weight_v[v] for v in g2.vertices if v != z}
+    weight_v[z] = weight_z
+    cost_v = {v: inst.cost_v[v] for v in g2.vertices if v != z}
+    cost_v[z] = cost_z
+    weight_e, cost_e = {}, {}
+    for e in g2.edge_set():
+        if z in e:
+            if edge_policy == "inherit":
+                x = e[0] if e[1] == z else e[1]
+                src = edge_key(x, a) if g.has_edge(x, a) else edge_key(x, b)
+                weight_e[e] = inst.weight_e[src]
+                cost_e[e] = inst.cost_e[src]
+            else:
+                _, wgt, c = edge_policy
+                weight_e[e] = wgt
+                cost_e[e] = c
+        else:
+            weight_e[e] = inst.weight_e[e]
+            cost_e[e] = inst.cost_e[e]
+    return replace(inst, graph=g2, delta=delta, weight_v=weight_v,
+                   weight_e=weight_e, cost_v=cost_v, cost_e=cost_e)
+
+
+def add_pendant(inst: Instance, z: int, nbrs: tuple[int, ...], *,
+                delta_z: int, weight_z: int, cost_z: int,
+                edge_weight: int, edge_cost: int) -> Instance:
+    g = inst.graph.add_vertex(z, nbrs)
+    delta = dict(inst.delta)
+    delta[z] = delta_z
+    weight_v = dict(inst.weight_v)
+    weight_v[z] = weight_z
+    cost_v = dict(inst.cost_v)
+    cost_v[z] = cost_z
+    weight_e = dict(inst.weight_e)
+    cost_e = dict(inst.cost_e)
+    for u in nbrs:
+        e = edge_key(z, u)
+        weight_e[e] = edge_weight
+        cost_e[e] = edge_cost
+    return replace(inst, graph=g, delta=delta, weight_v=weight_v,
+                   weight_e=weight_e, cost_v=cost_v, cost_e=cost_e)
 
 
 @dataclass(frozen=True)

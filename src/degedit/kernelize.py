@@ -14,14 +14,14 @@ only the size guarantee (the ``certified`` flag), never equivalence.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .dpsolve import PreparedSolve
 from .errors import CapacityError
 from .graph import Graph, edge_key, is_planar
-from .instance import CONNECTED, PLAIN, Instance
+from .instance import (CONNECTED, PLAIN, Instance, add_pendant, contract,
+                       delete_edge, delete_vertices, with_delta)
 from .normalize import (DECIDED_NO, DECIDED_YES, NORMALIZED, RuleEvent,
                         normalize)
 from .protrusion import (Part, ProtrusionDecomposition,
@@ -46,9 +46,6 @@ KERNEL_RULES = PLAIN_RULES + CONNECTED_RULES
 def alpha_cap_for(variant: str, override: int | None = None) -> int:
     if override is not None:
         return override
-    env = os.environ.get("DEGEDIT_ALPHA_CAP")
-    if env:
-        return int(env)
     return DEFAULT_ALPHA_CAP_CONNECTED if variant == CONNECTED \
         else DEFAULT_ALPHA_CAP_PLAIN
 
@@ -292,7 +289,7 @@ def compute_candidate_sets(inst: Instance, pd: ProtrusionDecomposition, *,
                          tuple(skipped))
 
 
-# -- rewrite state and instance surgery ----------------------------------------
+# -- rewrite state -------------------------------------------------------------
 
 
 @dataclass
@@ -329,108 +326,6 @@ class KernelState:
         self.events.append(RuleEvent(rule, site, before, after, decided))
         if decided:
             self.decided = decided
-
-
-def _remake(inst: Instance, g: Graph, delta, weight_v, weight_e, cost_v,
-            cost_e, k_v=None, cost_budget=None) -> Instance:
-    return Instance(g, delta, weight_v, weight_e, cost_v, cost_e,
-                    inst.k_v if k_v is None else k_v, inst.k_e,
-                    inst.cost_budget if cost_budget is None else cost_budget,
-                    inst.variant)
-
-
-def _inst_delete_vertices(inst: Instance, vs, *, charge: bool
-                          ) -> Instance | None:
-    vs = frozenset(vs)
-    k_v, cbudget = inst.k_v, inst.cost_budget
-    if charge:
-        k_v -= sum(inst.weight_v[v] for v in vs)
-        cbudget -= sum(inst.cost_v[v] for v in vs)
-        if k_v < 0 or cbudget < 0:
-            return None
-    g = inst.graph.delete_vertices(vs)
-    keep_e = g.edge_set()
-    return _remake(inst, g,
-                   {v: inst.delta[v] for v in g.vertices},
-                   {v: inst.weight_v[v] for v in g.vertices},
-                   {e: inst.weight_e[e] for e in keep_e},
-                   {v: inst.cost_v[v] for v in g.vertices},
-                   {e: inst.cost_e[e] for e in keep_e},
-                   k_v=k_v, cost_budget=cbudget)
-
-
-def _inst_with_delta(inst: Instance, updates: dict[int, int]) -> Instance:
-    delta = dict(inst.delta)
-    delta.update(updates)
-    return _remake(inst, inst.graph, delta, inst.weight_v, inst.weight_e,
-                   inst.cost_v, inst.cost_e)
-
-
-def _inst_delete_edge(inst: Instance, e: tuple[int, int],
-                      delta_updates: dict[int, int]) -> Instance:
-    g = inst.graph.delete_edge(*e)
-    delta = dict(inst.delta)
-    delta.update(delta_updates)
-    weight_e = {x: wgt for x, wgt in inst.weight_e.items() if x != e}
-    cost_e = {x: c for x, c in inst.cost_e.items() if x != e}
-    return _remake(inst, g, delta, inst.weight_v, weight_e, inst.cost_v, cost_e)
-
-
-def _inst_contract(inst: Instance, a: int, b: int, z: int, *, delta_z: int,
-                   weight_z: int, cost_z: int, edge_policy,
-                   delta_updates: dict[int, int]) -> Instance:
-    """Contract edge ab into z.  ``edge_policy`` is ("fixed", w, c) to
-    restamp every edge at z, or "inherit" (requires no merged parallels)."""
-    g = inst.graph
-    if edge_policy == "inherit":
-        common = (g.neighbors(a) & g.neighbors(b)) - {a, b}
-        if common:
-            raise AssertionError("inherit policy with merged parallel edges")
-    g2, minted = g.contract_edge(a, b, new_id=z)
-    if minted != z:
-        raise RuntimeError(f"contraction minted {minted}, expected {z}")
-    delta = {v: inst.delta[v] for v in g2.vertices if v != z}
-    delta.update({v: t for v, t in delta_updates.items() if v in delta})
-    delta[z] = delta_z
-    weight_v = {v: inst.weight_v[v] for v in g2.vertices if v != z}
-    weight_v[z] = weight_z
-    cost_v = {v: inst.cost_v[v] for v in g2.vertices if v != z}
-    cost_v[z] = cost_z
-    weight_e, cost_e = {}, {}
-    for e in g2.edge_set():
-        if z in e:
-            if edge_policy == "inherit":
-                x = e[0] if e[1] == z else e[1]
-                src = edge_key(x, a) if g.has_edge(x, a) else edge_key(x, b)
-                weight_e[e] = inst.weight_e[src]
-                cost_e[e] = inst.cost_e[src]
-            else:
-                _, wgt, c = edge_policy
-                weight_e[e] = wgt
-                cost_e[e] = c
-        else:
-            weight_e[e] = inst.weight_e[e]
-            cost_e[e] = inst.cost_e[e]
-    return _remake(inst, g2, delta, weight_v, weight_e, cost_v, cost_e)
-
-
-def _inst_add_pendant(inst: Instance, z: int, nbrs: tuple[int, ...], *,
-                      delta_z: int, weight_z: int, cost_z: int,
-                      edge_weight: int, edge_cost: int) -> Instance:
-    g = inst.graph.add_vertex(z, nbrs)
-    delta = dict(inst.delta)
-    delta[z] = delta_z
-    weight_v = dict(inst.weight_v)
-    weight_v[z] = weight_z
-    cost_v = dict(inst.cost_v)
-    cost_v[z] = cost_z
-    weight_e = dict(inst.weight_e)
-    cost_e = dict(inst.cost_e)
-    for u in nbrs:
-        e = edge_key(z, u)
-        weight_e[e] = edge_weight
-        cost_e[e] = edge_cost
-    return _remake(inst, g, delta, weight_v, weight_e, cost_v, cost_e)
 
 
 def _candidate_endpoints(state: KernelState) -> frozenset[int]:
@@ -479,8 +374,7 @@ def _rule_weight_adjustment(state: KernelState, rule_name="weight-adjustment") -
     if wv == dict(inst.weight_v) and we == dict(inst.weight_e):
         return NOT_APPLICABLE
     before = inst
-    state.inst = _remake(inst, inst.graph, inst.delta, wv, we,
-                         inst.cost_v, inst.cost_e)
+    state.inst = replace(inst, weight_v=wv, weight_e=we)
     state.record(rule_name, (), before)
     return CHANGED
 
@@ -496,8 +390,8 @@ def _rule_s_reduction(state: KernelState) -> str:
     if any(inst.delta[u] - 1 < 0 for u in nbrs):
         state.record("s-reduction", (v,), before, DECIDED_NO)
         return DECIDED_NO
-    step = _inst_with_delta(inst, {u: inst.delta[u] - 1 for u in nbrs})
-    state.inst = _inst_delete_vertices(step, [v], charge=False)
+    step = with_delta(inst, {u: inst.delta[u] - 1 for u in nbrs})
+    state.inst = delete_vertices(step, [v], charge=False)
     state.sync()
     state.record("s-reduction", (v,), before)
     return CHANGED
@@ -519,7 +413,7 @@ def _rule_t_prime_reduction(state: KernelState) -> str:
     if inst.delta[u] - 1 < 0 or inst.delta[v] - 1 < 0:
         state.record("t-prime-reduction", (u, v), before, DECIDED_NO)
         return DECIDED_NO
-    state.inst = _inst_delete_edge(
+    state.inst = delete_edge(
         inst, (u, v), {u: inst.delta[u] - 1, v: inst.delta[v] - 1})
     state.sync()
     state.record("t-prime-reduction", (u, v), before)
@@ -540,8 +434,8 @@ def _rule_twin_reduction(state: KernelState) -> str:
                 return DECIDED_NO
             updates = {x: max(0, inst.delta[x] - 1)
                        for x in g.neighbors(u)}
-            step = _inst_with_delta(inst, updates)
-            state.inst = _inst_delete_vertices(step, [v], charge=False)
+            step = with_delta(inst, updates)
+            state.inst = delete_vertices(step, [v], charge=False)
             state.sync()
             state.record("twin-reduction", (u, v), before)
             return CHANGED
@@ -577,7 +471,7 @@ def _rule_vertex_deletion_c(state: KernelState) -> str:
         if len(in_w) < need:
             state.record("vertex-deletion-c", (v,), before, DECIDED_NO)
             return DECIDED_NO
-        nxt = _inst_delete_vertices(inst, in_w, charge=True)
+        nxt = delete_vertices(inst, in_w, charge=True)
         if nxt is None:
             state.record("vertex-deletion-c", (v,), before, DECIDED_NO)
             return DECIDED_NO
@@ -622,7 +516,7 @@ def _rule_s_contraction_1(state: KernelState) -> str:
         z = state.next_id
         state.next_id += 1
         new_deg = len((g.neighbors(a) | g.neighbors(b)) - {a, b})
-        state.inst = _inst_contract(
+        state.inst = contract(
             inst, a, b, z, delta_z=new_deg, weight_z=inst.k_v + 1, cost_z=0,
             edge_policy=("fixed", inst.k_e + 1, 0), delta_updates=updates)
         state.sync()
@@ -670,8 +564,8 @@ def _rule_s_deletion(state: KernelState) -> str:
         if any(inst.delta[x] - 1 < 0 for x in nbrs):
             state.record("s-deletion", (v,), before, DECIDED_NO)
             return DECIDED_NO
-        step = _inst_with_delta(inst, {x: inst.delta[x] - 1 for x in nbrs})
-        state.inst = _inst_delete_vertices(step, [v], charge=False)
+        step = with_delta(inst, {x: inst.delta[x] - 1 for x in nbrs})
+        state.inst = delete_vertices(step, [v], charge=False)
         state.sync()
         state.record("s-deletion", (v,), before)
         return CHANGED
@@ -703,17 +597,17 @@ def _rule_s_contraction_2(state: KernelState) -> str:
             z = state.next_id
             state.next_id += 1
             minted.append(z)
-            cur = _inst_delete_edge(cur, edge_key(v, x), {})
-            cur = _inst_add_pendant(cur, z, (v, x), delta_z=2,
-                                    weight_z=inst.k_v + 1, cost_z=0,
-                                    edge_weight=inst.k_e + 1, edge_cost=0)
+            cur = delete_edge(cur, edge_key(v, x), {})
+            cur = add_pendant(cur, z, (v, x), delta_z=2,
+                              weight_z=inst.k_v + 1, cost_z=0,
+                              edge_weight=inst.k_e + 1, edge_cost=0)
         y = state.next_id
         state.next_id += 1
         g_cur = cur.graph
         new_deg = len((g_cur.neighbors(u) | g_cur.neighbors(v)) - {u, v})
         if new_deg - slack < 0:
             raise RuntimeError("merged target below zero")
-        state.inst = _inst_contract(
+        state.inst = contract(
             cur, u, v, y, delta_z=new_deg - slack,
             weight_z=inst.k_v + 1, cost_z=0,
             edge_policy="inherit", delta_updates={})
@@ -752,8 +646,8 @@ def _rule_t_prime_deletion(state: KernelState) -> str:
                 continue
             before = inst
             updates = {x: max(0, inst.delta[x] - 1) for x in g.neighbors(v)}
-            step = _inst_with_delta(inst, updates)
-            state.inst = _inst_delete_vertices(step, [v], charge=False)
+            step = with_delta(inst, updates)
+            state.inst = delete_vertices(step, [v], charge=False)
             state.sync()
             state.record("t-prime-deletion", (v, u), before)
             return CHANGED
@@ -785,8 +679,8 @@ def _rule_t_prime_contraction(state: KernelState) -> str:
         before = inst
         cur = inst
         for x in sorted(g.neighbors(v) - tp):
-            cur = _inst_delete_edge(cur, edge_key(v, x),
-                                    {x: max(0, cur.delta[x] - 1)})
+            cur = delete_edge(cur, edge_key(v, x),
+                              {x: max(0, cur.delta[x] - 1)})
         g_cur = cur.graph
         y = min(g_cur.neighbors(v))
         slack = g_cur.degree(y) - cur.delta[y]
@@ -798,7 +692,7 @@ def _rule_t_prime_contraction(state: KernelState) -> str:
         if new_deg - slack < 0:
             state.record("t-prime-contraction", (v, mate, y), before, DECIDED_NO)
             return DECIDED_NO
-        state.inst = _inst_contract(
+        state.inst = contract(
             cur, min(v, y), max(v, y), z, delta_z=new_deg - slack,
             weight_z=inst.k_v + 1, cost_z=0,
             edge_policy=("fixed", inst.k_e + 1, 0), delta_updates=updates)

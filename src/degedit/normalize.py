@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .instance import CONNECTED, PLAIN, Instance, Solution
+from .instance import (CONNECTED, PLAIN, Instance, Solution, contract,
+                       delete_vertices)
 
 YES_INSTANCE = "yes-instance"
 VERTEX_DELETION = "vertex-deletion"
@@ -52,15 +53,12 @@ class RuleEvent:
     decided: str | None = None
 
 
-NormalizeEvent = RuleEvent
-
-
 @dataclass(frozen=True)
 class NormalizeOutcome:
     kind: str
     instance: Instance | None = None
     witness: Solution | None = None
-    log: tuple[NormalizeEvent, ...] = field(default_factory=tuple)
+    log: tuple[RuleEvent, ...] = field(default_factory=tuple)
 
 
 def satisfied_vertices(inst: Instance) -> set[int]:
@@ -79,56 +77,6 @@ def is_normalized(inst: Instance) -> bool:
         if not any(u not in sat for u in g.neighbors(v)):
             return False
     return True
-
-
-def _delete_vertex(inst: Instance, v: int, *, charge: bool) -> Instance | None:
-    """Remove v, optionally paying its weight and cost; None when a charged
-    removal would drive a budget negative."""
-    k_v, cbudget = inst.k_v, inst.cost_budget
-    if charge:
-        k_v -= inst.weight_v[v]
-        cbudget -= inst.cost_v[v]
-        if k_v < 0 or cbudget < 0:
-            return None
-    g = inst.graph.delete_vertex(v)
-    keep_v = g.vertices
-    keep_e = g.edge_set()
-    return Instance(
-        g,
-        {x: inst.delta[x] for x in keep_v},
-        {x: inst.weight_v[x] for x in keep_v},
-        {e: inst.weight_e[e] for e in keep_e},
-        {x: inst.cost_v[x] for x in keep_v},
-        {e: inst.cost_e[e] for e in keep_e},
-        k_v, inst.k_e, cbudget, inst.variant)
-
-
-def _contract_satisfied_pair(inst: Instance, u: int, v: int) -> tuple[Instance, int]:
-    """Contract the satisfied adjacent pair (u, v) into a fresh vertex whose
-    entire neighbourhood becomes undeletable."""
-    sat = satisfied_vertices(inst)
-    g2, z = inst.graph.contract_edge(u, v)
-    delta, weight_v, cost_v = {}, {}, {}
-    for x in g2.vertices:
-        if x == z:
-            delta[x] = g2.degree(x)
-            weight_v[x] = inst.weight_v[u] + inst.weight_v[v]
-            cost_v[x] = inst.cost_v[u] + inst.cost_v[v]
-        else:
-            delta[x] = g2.degree(x) if x in sat else inst.delta[x]
-            weight_v[x] = inst.weight_v[x]
-            cost_v[x] = inst.cost_v[x]
-    weight_e, cost_e = {}, {}
-    for e in g2.edge_set():
-        if z in e:
-            weight_e[e] = inst.k_e + 1
-            cost_e[e] = 0
-        else:
-            weight_e[e] = inst.weight_e[e]
-            cost_e[e] = inst.cost_e[e]
-    out = Instance(g2, delta, weight_v, weight_e, cost_v, cost_e,
-                   inst.k_v, inst.k_e, inst.cost_budget, inst.variant)
-    return out, z
 
 
 def apply_rule(inst: Instance, rule: str) -> StepResult:
@@ -154,7 +102,7 @@ def apply_rule(inst: Instance, rule: str) -> StepResult:
         span = inst.k_v + inst.k_e
         for v in g.sorted_vertices():
             if g.degree(v) < inst.delta[v] or g.degree(v) > inst.delta[v] + span:
-                out = _delete_vertex(inst, v, charge=True)
+                out = delete_vertices(inst, [v], charge=True)
                 if out is None:
                     return StepResult(DECIDED_NO, site=(v,))
                 return StepResult(CHANGED, instance=out, site=(v,),
@@ -165,8 +113,18 @@ def apply_rule(inst: Instance, rule: str) -> StepResult:
         sat = satisfied_vertices(inst)
         for v in g.sorted_vertices():
             if v in sat and g.degree(v) >= 1 and g.neighbors(v) <= sat:
+                # contract v with its least neighbour into a fresh vertex
+                # whose whole neighbourhood becomes undeletable; every common
+                # neighbour is satisfied and loses one degree
                 u = min(g.neighbors(v))
-                out, z = _contract_satisfied_pair(inst, u, v)
+                z = max(g.vertices) + 1
+                nu, nv = g.neighbors(u), g.neighbors(v)
+                out = contract(
+                    inst, u, v, z, delta_z=len((nu | nv) - {u, v}),
+                    weight_z=inst.weight_v[u] + inst.weight_v[v],
+                    cost_z=inst.cost_v[u] + inst.cost_v[v],
+                    edge_policy=("fixed", inst.k_e + 1, 0),
+                    delta_updates={x: inst.delta[x] - 1 for x in nu & nv})
                 return StepResult(CHANGED, instance=out, site=(u, v),
                                   note=("contract", z, u, v))
         return StepResult(NOT_APPLICABLE)
@@ -174,7 +132,7 @@ def apply_rule(inst: Instance, rule: str) -> StepResult:
     if rule == ISOLATES_REMOVAL:
         for v in g.sorted_vertices():
             if g.degree(v) == 0:
-                out = _delete_vertex(inst, v, charge=False)
+                out = delete_vertices(inst, [v], charge=False)
                 return StepResult(CHANGED, instance=out, site=(v,))
         return StepResult(NOT_APPLICABLE)
 
@@ -186,7 +144,7 @@ def apply_rule(inst: Instance, rule: str) -> StepResult:
                         and sum(inst.cost_v[x] for x in rest) <= inst.cost_budget):
                     return StepResult(
                         DECIDED_YES, witness=Solution.of(inst, rest), site=(v,))
-                out = _delete_vertex(inst, v, charge=True)
+                out = delete_vertices(inst, [v], charge=True)
                 if out is None:
                     return StepResult(DECIDED_NO, site=(v,))
                 return StepResult(CHANGED, instance=out, site=(v,),
@@ -224,7 +182,7 @@ def normalize(inst: Instance) -> NormalizeOutcome:
     Decisions carry witnesses lifted back to the original vertex ids.
     """
     original = inst
-    events: list[NormalizeEvent] = []
+    events: list[RuleEvent] = []
     charged: list[int] = []
     contractions: dict[int, tuple[int, int]] = {}
     order = _rule_order(inst.variant)
@@ -234,14 +192,14 @@ def normalize(inst: Instance) -> NormalizeOutcome:
             if res.kind == NOT_APPLICABLE:
                 continue
             if res.kind == CHANGED:
-                events.append(NormalizeEvent(rule, res.site, inst, res.instance))
+                events.append(RuleEvent(rule, res.site, inst, res.instance))
                 if res.note and res.note[0] == "charged":
                     charged.append(res.note[1])
                 elif res.note and res.note[0] == "contract":
                     contractions[res.note[1]] = (res.note[2], res.note[3])
                 inst = res.instance
                 break
-            events.append(NormalizeEvent(rule, res.site, inst, None, res.kind))
+            events.append(RuleEvent(rule, res.site, inst, None, res.kind))
             if res.kind == DECIDED_YES:
                 lifted = _lift(set(res.witness.deleted_vertices),
                                charged, contractions)

@@ -1,13 +1,11 @@
 """Exact brute-force solver used as ground truth at desk scale.
 
-The enumeration kernel exists twice: a compiled extension for speed and a
-pure-Python fallback with the same contract.  Selection happens at import
-time; set ``DEGEDIT_BACKEND=python`` (or ``c``) to force one.
+Instances are index-encoded here and enumerated by the pure-Python kernel
+in `degedit._bruteforce_py`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from . import _bruteforce_py
@@ -19,26 +17,9 @@ DEFAULT_EDGE_CAP = 18
 DEFAULT_OPTIMA_CAP = 10_000
 
 
-def _pick_backend():
-    forced = os.environ.get("DEGEDIT_BACKEND", "").lower()
-    if forced in ("python", "py", "pure"):
-        return _bruteforce_py
-    try:
-        from . import _bruteforce  # compiled extension, built optionally
-    except ImportError:
-        if forced in ("c", "cython", "compiled"):
-            raise ImportError(
-                "compiled backend requested via DEGEDIT_BACKEND but not built; "
-                "run: python setup.py build_ext --inplace")
-        return _bruteforce_py
-    return _bruteforce
-
-
-_backend = _pick_backend()
-
-
 def backend_name() -> str:
-    return _backend.BACKEND
+    """Name of the enumeration kernel, recorded with benchmark results."""
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -89,13 +70,11 @@ def brute_force_min_cost(inst: Instance, *,
         raise CapacityError(
             f"instance has {inst.graph.m} edges, oracle cap is {edge_cap}")
     ids, edges, n, adj, eu, ev, delta, wv, we, cv, ce = _encode(inst)
-    backend = _backend
-    if backend is not _bruteforce_py and (n > 64 or len(edges) > 64):
-        backend = _bruteforce_py  # masks exceed the compiled word size
-    feasible, min_cost, optima_masks, truncated, examined = backend.solve_exact(
-        n, adj, eu, ev, delta, wv, we, cv, ce,
-        inst.k_v, inst.k_e, inst.cost_budget,
-        1 if inst.connected_variant else 0, optima_cap)
+    feasible, min_cost, optima_masks, truncated, examined = \
+        _bruteforce_py.solve_exact(
+            n, adj, eu, ev, delta, wv, we, cv, ce,
+            inst.k_v, inst.k_e, inst.cost_budget,
+            1 if inst.connected_variant else 0, optima_cap)
     sols = []
     for u_mask, d_mask in optima_masks:
         u = frozenset(ids[i] for i in range(n) if (u_mask >> i) & 1)

@@ -125,11 +125,28 @@ def test_capacity_exit_code(tmp_path, capsys):
     assert "capacity" in err
 
 
-def test_alpha_cap_env_override(tmp_path, monkeypatch):
+def test_alpha_cap_env_override():
     from degedit.kernelize import alpha_cap_for
-    monkeypatch.setenv("DEGEDIT_ALPHA_CAP", "5")
-    assert alpha_cap_for(PLAIN) == 5
-    assert alpha_cap_for(CONNECTED) == 5
-    monkeypatch.delenv("DEGEDIT_ALPHA_CAP")
     assert alpha_cap_for(PLAIN) == 3
     assert alpha_cap_for(CONNECTED) == 2
+
+
+def test_solve_dp_validates_once(tmp_path, capsys, monkeypatch):
+    import degedit.dpsolve
+    import degedit.treewidth
+    calls = []
+    original = degedit.treewidth.validate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(degedit.treewidth, "validate", counting)
+    monkeypatch.setattr(degedit.dpsolve, "validate", counting)
+    inst = generate_random_planar_instance(30, 1, 1, 4, PLAIN, seed=5)
+    f = tmp_path / "g.deg"
+    f.write_text(write_instance(inst))
+    code, out, _ = run_cli(["solve", "--method", "dp", "--input", str(f)],
+                           capsys)
+    assert code == 0 and out.startswith("s ")
+    assert len(calls) == 1

@@ -6,7 +6,7 @@ from degedit.dpsolve import (PreparedSolve, lookup, process_node,
                              solve_auto, solve_dcpggd_tw, solve_dpggd_tw)
 from degedit.instance import CONNECTED, PLAIN, check_solution, is_efficient
 from degedit.oracle import brute_force_min_cost
-from degedit.treewidth import JOIN, decompose, to_nice
+from degedit.treewidth import JOIN, TreeDecomposition, decompose, to_nice
 
 from conftest import cycle_instance, make_instance, path_instance, random_corpus
 
@@ -64,6 +64,16 @@ def test_variant_and_window_guards():
     with pytest.raises(ValueError, match="window"):
         solve_dpggd_tw(bad)
     assert solve_dpggd_tw(bad, enforce_window=False) is None
+
+
+def test_solve_auto_rejects_decomposition_missing_an_edge():
+    # a tree-shaped decomposition of the path 1-2-3 with no bag for edge 2-3:
+    # to_nice accepts its shape, the DP must refuse to read it
+    inst = path_instance(3, 1, k_e=1, cost_budget=9)
+    td = TreeDecomposition((frozenset({1, 2}), frozenset({3})),
+                           frozenset({(0, 1)}))
+    with pytest.raises(ValueError, match="invalid decomposition"):
+        solve_auto(inst, to_nice(td), enforce_window=False)
 
 
 def _ntd(inst):

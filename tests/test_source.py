@@ -8,11 +8,34 @@ import degedit
 SRC = Path(degedit.__file__).resolve().parent
 
 
-def test_no_assert_statements_in_package():
-    # invariants must hold under ``python -O`` too, so they raise explicitly
+def _find(predicate):
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+                  if predicate(node)]
+    return found
+
+
+def test_no_assert_statements_in_package():
+    # invariants must hold under ``python -O`` too, so they raise explicitly
+    found = _find(lambda node: isinstance(node, ast.Assert))
+    assert not found, found
+
+
+ENV_READERS = ("environ", "getenv", "environb", "getenvb")
+
+
+def test_no_environment_knobs_in_package():
+    # behaviour is set by arguments and CLI options, never by the environment
+    def reads_env(node):
+        if isinstance(node, ast.Attribute):
+            return (node.attr in ENV_READERS
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os")
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            return any(alias.name in ENV_READERS for alias in node.names)
+        return False
+
+    found = _find(reads_env)
     assert not found, found
