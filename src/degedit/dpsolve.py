@@ -11,7 +11,8 @@ bag vertex remains; at most one such component can ever survive).
 
 Keys use exact spent weight rather than a remaining-budget allowance; the
 two forms determine each other (an allowance answer is the best entry over
-all spent weights within it), and ``lookup`` exposes that view.  Values are
+all spent weights within it), and ``best_within`` reads that view off the
+root answers, so one run serves every smaller budget pair.  Values are
 minimum-cost deletion pairs with deterministic lexicographic tie-breaking
 on (sorted vertex ids, sorted edge pairs).
 
@@ -372,22 +373,6 @@ def run_tables(ctx: _Ctx) -> list[dict]:
         for c in ctx.ntd.children[node]:
             tables[c] = None  # free child tables once consumed
     return tables
-
-
-def lookup(table: dict, x_mask: int, y_mask: int, dmg: tuple, h_v: int, h_e: int,
-           connected_key: tuple = ()):
-    """Allowance view of a table: best entry with spent weight within budget."""
-    best = None
-    for key, ent in table.items():
-        if key[0] != x_mask or key[1] != y_mask or key[2] != dmg:
-            continue
-        if key[3] > h_v or key[4] > h_e:
-            continue
-        if connected_key and key[5:] != connected_key:
-            continue
-        if best is None or _entry_less(ent, best):
-            best = ent
-    return best
 
 
 def root_answers(ctx: _Ctx, root_table: dict) -> list[tuple[int, int, tuple]]:

@@ -89,12 +89,6 @@ class Graph:
             raise ValueError(f"unknown vertices: {sorted(unknown)}")
         return Graph._from_adj({v: self._adj[v] & keep_set for v in keep_set})
 
-    def closed_neighborhood(self, vs: Iterable[int]) -> frozenset[int]:
-        out = set(vs)
-        for v in list(out):
-            out |= self._adj[v]
-        return frozenset(out)
-
     def ball(self, vs: Iterable[int], radius: int) -> frozenset[int]:
         """Vertices within the given distance of the seed set."""
         cur = set(vs)
@@ -185,17 +179,6 @@ class Graph:
             raise ValueError(f"unknown neighbors: {sorted(unknown)}")
         adj = {u: ns | ({v} if u in nbrs else frozenset()) for u, ns in self._adj.items()}
         adj[v] = nbrs
-        return Graph._from_adj(adj)
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        u, v = edge_key(u, v)
-        if u not in self._adj or v not in self._adj:
-            raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
-        if self.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) already present")
-        adj = dict(self._adj)
-        adj[u] = adj[u] | {v}
-        adj[v] = adj[v] | {u}
         return Graph._from_adj(adj)
 
     # -- dunder -------------------------------------------------------------

@@ -17,7 +17,7 @@ from .graph import Graph, is_planar
 from .instance import CONNECTED, PLAIN, Instance, Solution
 
 
-def parse_instance(text: str, *, require_planar: bool = True) -> Instance:
+def parse_instance(text: str) -> Instance:
     header = None
     vlines: list[tuple[int, list[str]]] = []
     elines: list[tuple[int, list[str]]] = []
@@ -95,7 +95,7 @@ def parse_instance(text: str, *, require_planar: bool = True) -> Instance:
         weight_e[(u, v)], cost_e[(u, v)] = w, c
 
     graph = Graph(range(1, n + 1), edges)
-    if require_planar and not is_planar(graph):
+    if not is_planar(graph):
         raise ParseError("graph is not planar")
     return Instance(graph, delta, weight_v, weight_e, cost_v, cost_e,
                     k_v, k_e, cbudget, CONNECTED if variant_flag else PLAIN)

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .dpsolve import PreparedSolve
 from .errors import CapacityError
-from .graph import Graph, edge_key, is_planar
+from .graph import Graph, edge_key, is_planar, verify_bipartite_planar_bound
 from .instance import (CONNECTED, PLAIN, Instance, add_pendant, contract,
                        delete_edge, delete_vertices, with_delta)
 from .normalize import (DECIDED_NO, DECIDED_YES, NORMALIZED, RuleEvent,
@@ -43,9 +43,7 @@ CONNECTED_RULES = ("set-adjustment-c", "vertex-deletion-c", "s-neighbour",
 KERNEL_RULES = PLAIN_RULES + CONNECTED_RULES
 
 
-def alpha_cap_for(variant: str, override: int | None = None) -> int:
-    if override is not None:
-        return override
+def alpha_cap_for(variant: str) -> int:
     return DEFAULT_ALPHA_CAP_CONNECTED if variant == CONNECTED \
         else DEFAULT_ALPHA_CAP_PLAIN
 
@@ -56,8 +54,6 @@ def alpha_cap_for(variant: str, override: int | None = None) -> int:
 @dataclass(frozen=True)
 class BoundaryConfig:
     """One subproblem shape on a part's closed neighbourhood."""
-    budget_v: int
-    budget_e: int
     removed_vertices: frozenset[int]                  # deleted boundary vertices
     removed_edges: frozenset[tuple[int, int]]         # deleted boundary edges
     targets: tuple[tuple[int, int], ...]              # boundary vertex -> target
@@ -90,10 +86,9 @@ def _covers(remnant: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(set(out))
 
 
-def enumerate_configs(part: Part, inst: Instance, variant: str, *,
-                      alpha_cap: int | None = None) -> list[BoundaryConfig]:
+def enumerate_configs(part: Part, inst: Instance) -> list[BoundaryConfig]:
     """All valid boundary configurations of one part, canonically ordered."""
-    cap = alpha_cap_for(variant, alpha_cap)
+    cap = alpha_cap_for(inst.variant)
     boundary = sorted(part.boundary)
     if len(boundary) > cap:
         raise CapacityError(
@@ -117,7 +112,7 @@ def enumerate_configs(part: Part, inst: Instance, variant: str, *,
                         if u in closed and u not in removed)
                 d -= sum(1 for e in removed_edges if v in e)
                 deg_f[v] = d
-            covers = _covers(kept) if variant == CONNECTED else [None]
+            covers = _covers(kept) if inst.variant == CONNECTED else [None]
             for cover in covers:
                 # target windows are relative to the gadget graph, whose
                 # boundary degrees grow by the undeletable cover edges
@@ -127,11 +122,8 @@ def enumerate_configs(part: Part, inst: Instance, variant: str, *,
                 else:
                     deg = deg_f
                 for targets in _target_choices(kept, deg, span):
-                    for h_v in range(inst.k_v + 1):
-                        for h_e in range(inst.k_e + 1):
-                            out.append(BoundaryConfig(
-                                h_v, h_e, removed, removed_edges,
-                                targets, cover))
+                    out.append(BoundaryConfig(removed, removed_edges,
+                                              targets, cover))
     return out
 
 
@@ -154,7 +146,7 @@ def _target_choices(kept, deg_f, span):
 
 def build_boundary_instance(config: BoundaryConfig, part: Part, inst: Instance
                             ) -> tuple[Instance, frozenset[int]] | None:
-    """The subinstance a configuration induces on a part.
+    """The subinstance a configuration induces on a part, at the full budgets.
 
     Boundary survivors and (for the connected variant) cover gadget
     vertices are priced out of deletion.  Returns None when the connected
@@ -185,7 +177,7 @@ def build_boundary_instance(config: BoundaryConfig, part: Part, inst: Instance
 
     if config.cover is None:
         return Instance(sub, delta, weight_v, weight_e, cost_v, cost_e,
-                        config.budget_v, config.budget_e, inst.cost_budget,
+                        inst.k_v, inst.k_e, inst.cost_budget,
                         PLAIN), frozenset()
 
     base = max(g.vertices, default=0) + 1
@@ -203,7 +195,7 @@ def build_boundary_instance(config: BoundaryConfig, part: Part, inst: Instance
     if not is_planar(sub):
         return None
     return Instance(sub, delta, weight_v, weight_e, cost_v, cost_e,
-                    config.budget_v, config.budget_e, inst.cost_budget,
+                    inst.k_v, inst.k_e, inst.cost_budget,
                     CONNECTED), gadget
 
 
@@ -221,8 +213,8 @@ def _patched_ntd(cert: TreeDecomposition, removed: frozenset[int],
     return to_nice(TreeDecomposition(bags, cert.tree_edges))
 
 
-def compute_candidate_sets(inst: Instance, pd: ProtrusionDecomposition, *,
-                           alpha_cap: int | None = None) -> CandidateSets:
+def compute_candidate_sets(inst: Instance, pd: ProtrusionDecomposition
+                           ) -> CandidateSets:
     """Union of minimum-cost subsolutions over all parts and configurations.
 
     Parts whose boundary exceeds the cap contribute themselves wholesale,
@@ -236,8 +228,7 @@ def compute_candidate_sets(inst: Instance, pd: ProtrusionDecomposition, *,
     skipped = []
     for pi, part in enumerate(pd.parts):
         try:
-            configs = enumerate_configs(part, inst, inst.variant,
-                                        alpha_cap=alpha_cap)
+            configs = enumerate_configs(part, inst)
         except CapacityError:
             skipped.append(pi)
             w_i = frozenset(part.vertices)
@@ -250,18 +241,10 @@ def compute_candidate_sets(inst: Instance, pd: ProtrusionDecomposition, *,
         w_i: set[int] = set()
         l_i: set[tuple[int, int]] = set()
         ntd_cache: dict = {}
-        seen_groups: set = set()
         budget_pairs = [(hv, he) for hv in range(inst.k_v + 1)
                         for he in range(inst.k_e + 1)]
         for cfg in configs:
-            group = (cfg.removed_vertices, cfg.removed_edges, cfg.targets,
-                     cfg.cover)
-            if group in seen_groups:
-                continue  # one solver run answers every budget pair
-            seen_groups.add(group)
-            top = BoundaryConfig(inst.k_v, inst.k_e, cfg.removed_vertices,
-                                 cfg.removed_edges, cfg.targets, cfg.cover)
-            built = build_boundary_instance(top, part, inst)
+            built = build_boundary_instance(cfg, part, inst)
             if built is None:
                 continue
             sub_inst, gadget = built
@@ -269,6 +252,7 @@ def compute_candidate_sets(inst: Instance, pd: ProtrusionDecomposition, *,
             if cache_key not in ntd_cache:
                 ntd_cache[cache_key] = _patched_ntd(
                     part.cert, cfg.removed_vertices, gadget)
+            # one run at the full budgets answers every budget pair
             ps = PreparedSolve(sub_inst, ntd_cache[cache_key], check=False)
             for hv, he in budget_pairs:
                 sol = ps.solve(hv, he)
@@ -620,10 +604,6 @@ def _rule_s_contraction_2(state: KernelState) -> str:
     return NOT_APPLICABLE
 
 
-def _tprime_c(state: KernelState) -> set[int]:
-    return state.unsatisfied() - _candidate_endpoints(state)
-
-
 def _w_prime_c(state: KernelState) -> set[int]:
     return set(state.w) | _candidate_endpoints(state) | state.satisfied()
 
@@ -631,7 +611,7 @@ def _w_prime_c(state: KernelState) -> set[int]:
 def _rule_t_prime_deletion(state: KernelState) -> str:
     inst = state.inst
     g = inst.graph
-    tp = _tprime_c(state)
+    tp = _tprime(state)
     wp = _w_prime_c(state)
     for v in sorted(tp):
         if g.neighbors(v) & tp:
@@ -657,7 +637,7 @@ def _rule_t_prime_deletion(state: KernelState) -> str:
 def _rule_t_prime_contraction(state: KernelState) -> str:
     inst = state.inst
     g = inst.graph
-    tp = _tprime_c(state)
+    tp = _tprime(state)
     wp = _w_prime_c(state)
     comp_of: dict[int, frozenset[int]] = {}
     for comp in g.subgraph(tp).components():
@@ -777,8 +757,7 @@ class KernelResult:
     final_s: frozenset[int] | None = None
 
 
-def kernelize(inst: Instance, *, alpha_cap: int | None = None,
-              domset=None) -> KernelResult:
+def kernelize(inst: Instance, *, domset=None) -> KernelResult:
     """Normalize, build candidates over a protrusion decomposition, reduce.
 
     A caller may supply its own distance-2 dominating set to shape the
@@ -789,12 +768,12 @@ def kernelize(inst: Instance, *, alpha_cap: int | None = None,
     if out.kind != NORMALIZED:
         return KernelResult(out.kind, None, tuple(events), certified=True)
     norm = out.instance
-    cap = alpha_cap_for(norm.variant, alpha_cap)
+    cap = alpha_cap_for(norm.variant)
     dom = None if domset is None else frozenset(domset) & norm.graph.vertices
     if dom is None or not is_r_dominating(norm.graph, dom, 2):
         dom = greedy_2_dominating_set(norm.graph)
     pd = build_protrusion_decomposition(norm.graph, dom, 2, boundary_cap=cap)
-    cs = compute_candidate_sets(norm, pd, alpha_cap=cap)
+    cs = compute_candidate_sets(norm, pd)
     if norm.connected_variant:
         state = reduce_dcpggd(norm, cs)
     else:
@@ -838,8 +817,6 @@ def size_bound_report(result: KernelResult) -> SizeBoundReport:
     Also re-checks the planar-bipartite size inequality everywhere the
     counting invokes it.
     """
-    from .graph import verify_bipartite_planar_bound
-
     if result.kind != KERNEL:
         raise ValueError("size bounds apply to kernel outcomes only")
     inst = result.instance
@@ -908,8 +885,6 @@ def size_bound_report(result: KernelResult) -> SizeBoundReport:
 
 def _check_bip(g: Graph, heavy_side, problems, label, w_prime=None):
     """Planar-bipartite bound between a remnant class and its neighbours."""
-    from .graph import verify_bipartite_planar_bound
-
     side2 = frozenset(heavy_side)
     if w_prime is None:
         side1 = frozenset(x for v in side2 for x in g.neighbors(v))

@@ -218,9 +218,10 @@ def _can_eliminate(adj: dict[int, set[int]], width: int,
     return False
 
 
-def exact_treewidth(g: Graph, cap: int = EXACT_CAP) -> int:
-    if g.n > cap:
-        raise CapacityError(f"exact treewidth refused for n={g.n} > cap {cap}")
+def exact_treewidth(g: Graph) -> int:
+    if g.n > EXACT_CAP:
+        raise CapacityError(
+            f"exact treewidth refused for n={g.n} > cap {EXACT_CAP}")
     if g.n == 0:
         return -1
     upper = min(from_elimination_order(g, _min_degree_order(g)).width,
@@ -255,8 +256,7 @@ def _exact_order(g: Graph, width: int) -> list[int]:
     return order
 
 
-def decompose(g: Graph, mode: str = "heuristic", *, exact_cap: int = EXACT_CAP
-              ) -> TreeDecomposition:
+def decompose(g: Graph, mode: str = "heuristic") -> TreeDecomposition:
     """Build a valid tree decomposition of g."""
     if mode == "heuristic":
         best = None
@@ -266,7 +266,7 @@ def decompose(g: Graph, mode: str = "heuristic", *, exact_cap: int = EXACT_CAP
                 best = td
         return best
     if mode == "exact-small":
-        width = exact_treewidth(g, cap=exact_cap)
+        width = exact_treewidth(g)
         if g.n == 0:
             return TreeDecomposition((frozenset(),), frozenset())
         return from_elimination_order(g, _exact_order(g, width))

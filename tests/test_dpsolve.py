@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from degedit.dpsolve import (PreparedSolve, lookup, process_node,
-                             solve_auto, solve_dcpggd_tw, solve_dpggd_tw)
+from degedit.dpsolve import (PreparedSolve, process_node, solve_auto,
+                             solve_dcpggd_tw, solve_dpggd_tw)
 from degedit.instance import CONNECTED, PLAIN, check_solution, is_efficient
 from degedit.oracle import brute_force_min_cost
 from degedit.treewidth import JOIN, TreeDecomposition, decompose, to_nice
@@ -84,11 +84,8 @@ def test_process_node_leaf_shape():
     inst = make_instance([1, 2], [(1, 2)], 1, k_v=1, k_e=1, cost_budget=2)
     ps = PreparedSolve(inst)
     leaf_table = process_node(ps.ctx, 0, [])
-    for h_v in range(inst.k_v + 1):
-        for h_e in range(inst.k_e + 1):
-            ent = lookup(leaf_table, 0, 0, (), h_v, h_e)
-            assert ent == (0, 0, 0)
-    assert len(leaf_table) == 1  # nothing else is representable at a leaf
+    # nothing but the empty, unspent key is representable at a leaf
+    assert leaf_table == {(0, 0, (), 0, 0): (0, 0, 0)}
 
 
 def test_process_node_introduce_charges_edge_budget():
@@ -152,8 +149,11 @@ def test_determinism_same_solution_twice():
 
 
 def test_budget_slices_match_direct_solves():
-    # one prepared run answers every smaller budget pair exactly
-    for inst in random_corpus(30, 99_000, n_hi=8, variants=(PLAIN,)):
+    # one prepared run answers every smaller budget pair exactly, down to
+    # the chosen solution: candidate sets solve each configuration once
+    corpus = (random_corpus(200, 99_000, n_hi=8, variants=(PLAIN,))
+              + random_corpus(200, 99_000, n_hi=8, variants=(CONNECTED,)))
+    for inst in corpus:
         if not inst.in_degree_window():
             continue
         ps = PreparedSolve(inst)
@@ -164,8 +164,9 @@ def test_budget_slices_match_direct_solves():
                     dict(inst.delta), h_v, h_e, inst.cost_budget, inst.variant,
                     weight_v=dict(inst.weight_v), weight_e=dict(inst.weight_e),
                     cost_v=dict(inst.cost_v), cost_e=dict(inst.cost_e))
-                direct = solve_dpggd_tw(smaller, enforce_window=False)
+                direct = solve_auto(smaller, enforce_window=False)
                 sliced = ps.solve(h_v, h_e)
                 assert (direct is None) == (sliced is None)
                 if direct is not None:
+                    assert direct.canonical() == sliced.canonical()
                     assert direct.total_cost == sliced.total_cost

@@ -5,13 +5,15 @@ import pytest
 from degedit.errors import CapacityError
 from degedit.graph import Graph, is_planar
 from degedit.instance import CONNECTED, PLAIN, Solution, check_solution
-from degedit.kernelize import (KERNEL, BoundaryConfig, _covers,
-                               build_boundary_instance, compute_candidate_sets,
-                               enumerate_configs, format_trace, kernelize,
-                               reduce_dpggd, size_bound_report)
+from degedit.kernelize import (KERNEL, BoundaryConfig, _check_t2_components,
+                               _covers, build_boundary_instance,
+                               compute_candidate_sets, enumerate_configs,
+                               format_trace, kernelize, reduce_dpggd,
+                               size_bound_report)
 from degedit.normalize import DECIDED_NO, DECIDED_YES, normalize
 from degedit.oracle import brute_force_min_cost
-from degedit.protrusion import (Part, build_protrusion_decomposition,
+from degedit.protrusion import (Part, ProtrusionDecomposition,
+                                build_protrusion_decomposition,
                                 greedy_2_dominating_set, trivial_decomposition)
 from degedit.treewidth import decompose
 
@@ -28,25 +30,24 @@ def _part_for(inst, vertices):
     return Part(verts, boundary, cert.width, cert)
 
 
-def test_configs_empty_boundary_is_budget_grid():
+def test_configs_empty_boundary_is_single_config():
+    # budgets are read off the solved table, not enumerated as configurations
     inst = make_instance([1, 2, 3], [(1, 2), (2, 3)], {1: 1, 2: 2, 3: 1},
                          k_v=2, k_e=1, cost_budget=3)
     part = _part_for(inst, [1, 2, 3])
     assert part.boundary == frozenset()
-    configs = enumerate_configs(part, inst, PLAIN)
-    assert len(configs) == (inst.k_v + 1) * (inst.k_e + 1)
-    assert all(c.removed_vertices == frozenset() and c.targets == ()
-               for c in configs)
+    assert enumerate_configs(part, inst) == [
+        BoundaryConfig(frozenset(), frozenset(), (), None)]
 
 
 def test_configs_single_boundary_count_bound():
-    # hand count: at most (2 choices of X * 4 budget pairs) * (1 + 3 targets)
+    # hand count: at most 2 choices of X * (1 + 3 targets)
     inst = make_instance([1, 2, 3], [(1, 2), (2, 3)], {1: 1, 2: 2, 3: 1},
                          k_v=1, k_e=1, cost_budget=3)
     part = _part_for(inst, [2, 3])
     assert part.boundary == {1}
-    configs = enumerate_configs(part, inst, PLAIN)
-    assert len(configs) <= (2 * 2) * (1 + 3)
+    configs = enumerate_configs(part, inst)
+    assert len(configs) <= 2 * (1 + 3)
     removed = {c.removed_vertices for c in configs}
     assert removed == {frozenset(), frozenset({1})}
     kept_targets = {c.targets for c in configs if not c.removed_vertices}
@@ -70,15 +71,14 @@ def test_configs_respect_alpha_cap():
     part = _part_for(inst, [5])
     assert len(part.boundary) == 4
     with pytest.raises(CapacityError):
-        enumerate_configs(part, inst, PLAIN, alpha_cap=3)
+        enumerate_configs(part, inst)
 
 
 def test_boundary_instance_prices_out_survivors():
     inst = cycle_instance(4, 1, k_v=1, k_e=2, cost_budget=2)
     part = _part_for(inst, [2, 3])
     assert part.boundary == {1, 4}
-    cfg = BoundaryConfig(1, 2, frozenset(), frozenset(),
-                         ((1, 1), (4, 1)), None)
+    cfg = BoundaryConfig(frozenset(), frozenset(), ((1, 1), (4, 1)), None)
     sub, gadget = build_boundary_instance(cfg, part, inst)
     assert gadget == frozenset()
     assert sub.weight_v[1] == inst.k_v + 1
@@ -91,8 +91,7 @@ def test_boundary_instance_gadget_structure():
     inst = cycle_instance(4, 1, k_v=1, k_e=2, cost_budget=2,
                           variant=CONNECTED)
     part = _part_for(inst, [2, 3])
-    cfg = BoundaryConfig(1, 2, frozenset(), frozenset(),
-                         ((1, 2), (4, 2)), ((1, 4),))
+    cfg = BoundaryConfig(frozenset(), frozenset(), ((1, 2), (4, 2)), ((1, 4),))
     sub, gadget = build_boundary_instance(cfg, part, inst)
     assert len(gadget) == 1
     z = next(iter(gadget))
@@ -110,7 +109,7 @@ def test_boundary_instance_full_removal_drops_gadget():
     inst = cycle_instance(4, 1, k_v=2, k_e=2, cost_budget=4,
                           variant=CONNECTED)
     part = _part_for(inst, [2, 3])
-    cfg = BoundaryConfig(2, 2, frozenset({1, 4}), frozenset(), (), ())
+    cfg = BoundaryConfig(frozenset({1, 4}), frozenset(), (), ())
     sub, gadget = build_boundary_instance(cfg, part, inst)
     assert gadget == frozenset()
     assert sub.graph.vertices == {2, 3}
@@ -125,7 +124,7 @@ def test_boundary_instance_nonplanar_gadget_marker():
                          k_v=1, k_e=1, cost_budget=2, variant=CONNECTED)
     part = _part_for(inst, [4, 5])
     assert part.boundary == {1, 2, 3}
-    cfg = BoundaryConfig(1, 1, frozenset(), frozenset(),
+    cfg = BoundaryConfig(frozenset(), frozenset(),
                          ((1, 3), (2, 3), (3, 3)), ((1, 2, 3),))
     assert build_boundary_instance(cfg, part, inst) is None
 
@@ -164,16 +163,19 @@ def test_candidates_capture_forced_interior_deletion():
 
 
 def test_skipped_part_falls_back_to_whole_part():
-    inst = make_instance(range(1, 6), [(1, 5), (2, 5), (3, 5), (4, 5)],
-                         {1: 1, 2: 1, 3: 1, 4: 1, 5: 4}, k_v=1, k_e=1,
+    # K2,4 with the part {5}: its four-vertex boundary exceeds the cap
+    edges = [(a, b) for a in (1, 2, 3, 4) for b in (5, 6)]
+    inst = make_instance(range(1, 7), edges,
+                         {1: 2, 2: 2, 3: 2, 4: 2, 5: 4, 6: 4}, k_v=1, k_e=1,
                          cost_budget=2)
-    pd = build_protrusion_decomposition(inst.graph, [1, 2, 3, 4], r=2)
-    big = [i for i, p in enumerate(pd.parts) if len(p.boundary) > 3]
-    if big:
-        cs = compute_candidate_sets(inst, pd, alpha_cap=3)
-        assert cs.skipped
-        for i in cs.skipped:
-            assert pd.parts[i].vertices <= cs.vertices
+    part = _part_for(inst, [5])
+    assert part.boundary == {1, 2, 3, 4}
+    pd = ProtrusionDecomposition(frozenset({1, 2, 3, 4, 6}), (part,), 3,
+                                 certified=False)
+    cs = compute_candidate_sets(inst, pd)
+    assert cs.skipped == (0,)
+    assert cs.per_part[0] == (frozenset({5}),
+                              frozenset({(1, 5), (2, 5), (3, 5), (4, 5)}))
 
 
 def test_reduce_noop_when_everything_is_candidate():
@@ -260,6 +262,22 @@ def test_size_bound_report_on_certified_runs():
             assert report.ok, (report.violations, inst)
             checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("count, flagged", [(2, False), (3, True)])
+def test_t2_components_bound(count, flagged):
+    # `count` two-vertex remnant components, each seeing candidates 1, 2, 3
+    edges, t2 = [], set()
+    for i in range(count):
+        a, b = 10 + 2 * i, 11 + 2 * i
+        t2 |= {a, b}
+        edges += [(a, b), (a, 1), (a, 2), (b, 3)]
+    g = Graph({1, 2, 3} | t2, edges)
+    problems = []
+    _check_t2_components(g, t2, {0: set(), 1: set(), 2: t2, 3: set()},
+                         frozenset({1, 2, 3}), problems)
+    assert bool(problems) == flagged
+    assert all(p.startswith("contracted T2 components") for p in problems)
 
 
 def test_trace_format():
