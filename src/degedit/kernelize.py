@@ -6,7 +6,10 @@ configuration of every part with the treewidth solver; some minimum-cost
 solution of a yes-instance deletes only candidate vertices and edges, which
 licenses the reduction rules that shrink everything outside them.
 
-Every rule application is logged with before/after instance snapshots so
+The fifteen reduction rules are handlers on the rewrite state that
+normalization also runs on (``normalize.KernelState``): each changes the
+instance through ``commit``, decides it through ``decide``, or does not
+apply, and every step is logged with before/after instance snapshots so
 suites can replay single steps against the oracle.  Oversized part
 boundaries fall back to taking the whole part as candidates: that costs
 only the size guarantee (the ``certified`` flag), never equivalence.
@@ -14,7 +17,7 @@ only the size guarantee (the ``certified`` flag), never equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .dpsolve import PreparedSolve
@@ -22,8 +25,8 @@ from .errors import CapacityError
 from .graph import Graph, edge_key, is_planar, verify_bipartite_planar_bound
 from .instance import (CONNECTED, PLAIN, Instance, add_pendant, contract,
                        delete_edge, delete_vertices, with_delta)
-from .normalize import (DECIDED_NO, DECIDED_YES, NORMALIZED, RuleEvent,
-                        normalize)
+from .normalize import (CHANGED, DECIDED_NO, DECIDED_YES, NORMALIZED,
+                        NOT_APPLICABLE, KernelState, RuleEvent, normalize)
 from .protrusion import (Part, ProtrusionDecomposition,
                          build_protrusion_decomposition,
                          greedy_2_dominating_set, is_r_dominating)
@@ -273,59 +276,11 @@ def compute_candidate_sets(inst: Instance, pd: ProtrusionDecomposition
                          tuple(skipped))
 
 
-# -- rewrite state -------------------------------------------------------------
-
-
-@dataclass
-class KernelState:
-    inst: Instance
-    w: set[int]
-    l: set[tuple[int, int]]
-    next_id: int
-    events: list[RuleEvent] = field(default_factory=list)
-    decided: str | None = None
-
-    @classmethod
-    def start(cls, inst: Instance, cs: CandidateSets) -> "KernelState":
-        return cls(inst, set(cs.vertices), set(cs.edges),
-                   max(inst.graph.vertices, default=0) + 1)
-
-    def sync(self) -> None:
-        self.w &= self.inst.graph.vertices
-        self.l &= self.inst.graph.edge_set()
-
-    def satisfied(self) -> set[int]:
-        g = self.inst.graph
-        return {v for v in g.vertices
-                if g.degree(v) == self.inst.delta[v] and v not in self.w}
-
-    def unsatisfied(self) -> set[int]:
-        g = self.inst.graph
-        return {v for v in g.vertices
-                if g.degree(v) > self.inst.delta[v] and v not in self.w}
-
-    def record(self, rule: str, site: tuple, before: Instance,
-               decided: str | None = None) -> None:
-        after = None if decided else self.inst
-        self.events.append(RuleEvent(rule, site, before, after, decided))
-        if decided:
-            self.decided = decided
+# -- single rule steps on the shared rewrite state ------------------------------
 
 
 def _candidate_endpoints(state: KernelState) -> frozenset[int]:
     return frozenset(x for e in state.l for x in e)
-
-
-# -- single rule steps ----------------------------------------------------------
-
-CHANGED = "changed"
-NOT_APPLICABLE = "not-applicable"
-
-
-def apply_kernel_rule(state: KernelState, rule: str) -> str:
-    """Apply one rule at its canonical site; mutates the state and logs."""
-    handler = _RULE_HANDLERS[rule]
-    return handler(state)
 
 
 def _rule_set_adjustment(state: KernelState) -> str:
@@ -340,13 +295,12 @@ def _rule_set_adjustment(state: KernelState) -> str:
     prunable = {e for e in state.l if e[0] in sat or e[1] in sat}
     if pair is None and not prunable:
         return NOT_APPLICABLE
-    before = state.inst
     if pair is not None:
         state.w.discard(pair[1])
     sat = state.satisfied()  # the removed vertex may have joined
     state.l -= {e for e in state.l if e[0] in sat or e[1] in sat}
-    state.record("set-adjustment", pair if pair else ("prune",), before)
-    return CHANGED
+    return state.commit("set-adjustment", pair if pair else ("prune",),
+                        state.inst)
 
 
 def _rule_weight_adjustment(state: KernelState, rule_name="weight-adjustment") -> str:
@@ -357,10 +311,7 @@ def _rule_weight_adjustment(state: KernelState, rule_name="weight-adjustment") -
           for e in inst.graph.edge_set()}
     if wv == dict(inst.weight_v) and we == dict(inst.weight_e):
         return NOT_APPLICABLE
-    before = inst
-    state.inst = replace(inst, weight_v=wv, weight_e=we)
-    state.record(rule_name, (), before)
-    return CHANGED
+    return state.commit(rule_name, (), replace(inst, weight_v=wv, weight_e=we))
 
 
 def _rule_s_reduction(state: KernelState) -> str:
@@ -370,15 +321,11 @@ def _rule_s_reduction(state: KernelState) -> str:
         return NOT_APPLICABLE
     v = min(sat)
     nbrs = sorted(inst.graph.neighbors(v))
-    before = inst
     if any(inst.delta[u] - 1 < 0 for u in nbrs):
-        state.record("s-reduction", (v,), before, DECIDED_NO)
-        return DECIDED_NO
+        return state.decide("s-reduction", (v,), DECIDED_NO)
     step = with_delta(inst, {u: inst.delta[u] - 1 for u in nbrs})
-    state.inst = delete_vertices(step, [v], charge=False)
-    state.sync()
-    state.record("s-reduction", (v,), before)
-    return CHANGED
+    return state.commit("s-reduction", (v,),
+                        delete_vertices(step, [v], charge=False))
 
 
 def _tprime(state: KernelState) -> set[int]:
@@ -393,15 +340,10 @@ def _rule_t_prime_reduction(state: KernelState) -> str:
     if not inner:
         return NOT_APPLICABLE
     u, v = inner[0]
-    before = inst
     if inst.delta[u] - 1 < 0 or inst.delta[v] - 1 < 0:
-        state.record("t-prime-reduction", (u, v), before, DECIDED_NO)
-        return DECIDED_NO
-    state.inst = delete_edge(
-        inst, (u, v), {u: inst.delta[u] - 1, v: inst.delta[v] - 1})
-    state.sync()
-    state.record("t-prime-reduction", (u, v), before)
-    return CHANGED
+        return state.decide("t-prime-reduction", (u, v), DECIDED_NO)
+    return state.commit("t-prime-reduction", (u, v), delete_edge(
+        inst, (u, v), {u: inst.delta[u] - 1, v: inst.delta[v] - 1}))
 
 
 def _rule_twin_reduction(state: KernelState) -> str:
@@ -412,17 +354,13 @@ def _rule_twin_reduction(state: KernelState) -> str:
         for v in tp[i + 1:]:
             if g.neighbors(u) != g.neighbors(v):
                 continue
-            before = inst
             if inst.delta[u] != inst.delta[v]:
-                state.record("twin-reduction", (u, v), before, DECIDED_NO)
-                return DECIDED_NO
+                return state.decide("twin-reduction", (u, v), DECIDED_NO)
             updates = {x: max(0, inst.delta[x] - 1)
                        for x in g.neighbors(u)}
             step = with_delta(inst, updates)
-            state.inst = delete_vertices(step, [v], charge=False)
-            state.sync()
-            state.record("twin-reduction", (u, v), before)
-            return CHANGED
+            return state.commit("twin-reduction", (u, v),
+                                delete_vertices(step, [v], charge=False))
     return NOT_APPLICABLE
 
 
@@ -433,11 +371,9 @@ def _rule_set_adjustment_c(state: KernelState) -> str:
         at_l = {e for e in state.l if v in e}
         if not in_w and not at_l:
             continue
-        before = state.inst
         state.w -= in_w
         state.l -= at_l
-        state.record("set-adjustment-c", (v,), before)
-        return CHANGED
+        return state.commit("set-adjustment-c", (v,), state.inst)
     return NOT_APPLICABLE
 
 
@@ -451,18 +387,12 @@ def _rule_vertex_deletion_c(state: KernelState) -> str:
         in_w = sorted(g.neighbors(v) & state.w)
         if len(in_w) > need:
             continue
-        before = inst
-        if len(in_w) < need:
-            state.record("vertex-deletion-c", (v,), before, DECIDED_NO)
-            return DECIDED_NO
-        nxt = delete_vertices(inst, in_w, charge=True)
+        # fewer candidate neighbours than surplus degree cannot fix v
+        nxt = (delete_vertices(inst, in_w, charge=True)
+               if len(in_w) == need else None)
         if nxt is None:
-            state.record("vertex-deletion-c", (v,), before, DECIDED_NO)
-            return DECIDED_NO
-        state.inst = nxt
-        state.sync()
-        state.record("vertex-deletion-c", (v,) + tuple(in_w), before)
-        return CHANGED
+            return state.decide("vertex-deletion-c", (v,), DECIDED_NO)
+        return state.commit("vertex-deletion-c", (v,) + tuple(in_w), nxt)
     return NOT_APPLICABLE
 
 
@@ -475,8 +405,7 @@ def _rule_s_neighbour(state: KernelState) -> str:
         if k and inst.delta[v] < k:
             if v in state.w:
                 raise RuntimeError("satisfied-neighbour count on a candidate")
-            state.record("s-neighbour", (v,), inst, DECIDED_NO)
-            return DECIDED_NO
+            return state.decide("s-neighbour", (v,), DECIDED_NO)
     return NOT_APPLICABLE
 
 
@@ -491,7 +420,6 @@ def _rule_s_contraction_1(state: KernelState) -> str:
         u = partners[0]
         a, b = min(u, v), max(u, v)
         common = (g.neighbors(a) & g.neighbors(b)) - {a, b}
-        before = inst
         updates = {}
         for x in common:
             if inst.delta[x] < 2:
@@ -500,12 +428,9 @@ def _rule_s_contraction_1(state: KernelState) -> str:
         z = state.next_id
         state.next_id += 1
         new_deg = len((g.neighbors(a) | g.neighbors(b)) - {a, b})
-        state.inst = contract(
+        return state.commit("s-contraction-1", (a, b, z), contract(
             inst, a, b, z, delta_z=new_deg, weight_z=inst.k_v + 1, cost_z=0,
-            edge_policy=("fixed", inst.k_e + 1, 0), delta_updates=updates)
-        state.sync()
-        state.record("s-contraction-1", (a, b, z), before)
-        return CHANGED
+            edge_policy=("fixed", inst.k_e + 1, 0), delta_updates=updates))
     return NOT_APPLICABLE
 
 
@@ -515,17 +440,15 @@ def _rule_stopping(state: KernelState) -> str:
     outside = g.vertices - state.w
     comps_with_outside = [c for c in g.components() if c & outside]
     if len(comps_with_outside) >= 2:
-        state.record("stopping", (), inst, DECIDED_NO)
-        return DECIDED_NO
+        return state.decide("stopping", (), DECIDED_NO)
     lone = sorted(v for v in outside if g.degree(v) == 0)
     if lone:
         v = lone[0]
         rest = sorted(g.vertices - {v})
         fits = (sum(inst.weight_v[x] for x in rest) <= inst.k_v
                 and sum(inst.cost_v[x] for x in rest) <= inst.cost_budget)
-        verdict = DECIDED_YES if fits else DECIDED_NO
-        state.record("stopping", (v,), inst, verdict)
-        return verdict
+        return state.decide("stopping", (v,),
+                            DECIDED_YES if fits else DECIDED_NO)
     return NOT_APPLICABLE
 
 
@@ -544,15 +467,11 @@ def _rule_s_deletion(state: KernelState) -> str:
                      for u in sorted(sat))
         if not ok:
             continue
-        before = inst
         if any(inst.delta[x] - 1 < 0 for x in nbrs):
-            state.record("s-deletion", (v,), before, DECIDED_NO)
-            return DECIDED_NO
+            return state.decide("s-deletion", (v,), DECIDED_NO)
         step = with_delta(inst, {x: inst.delta[x] - 1 for x in nbrs})
-        state.inst = delete_vertices(step, [v], charge=False)
-        state.sync()
-        state.record("s-deletion", (v,), before)
-        return CHANGED
+        return state.commit("s-deletion", (v,),
+                            delete_vertices(step, [v], charge=False))
     return NOT_APPLICABLE
 
 
@@ -569,7 +488,6 @@ def _rule_s_contraction_2(state: KernelState) -> str:
     for v in sorted(state.satisfied()):
         if g.degree(v) == 0 or _final_shape(state, v):
             continue
-        before = inst
         nbrs = sorted(g.neighbors(v))
         u = nbrs[0]
         slack = g.degree(u) - inst.delta[u]
@@ -591,16 +509,15 @@ def _rule_s_contraction_2(state: KernelState) -> str:
         new_deg = len((g_cur.neighbors(u) | g_cur.neighbors(v)) - {u, v})
         if new_deg - slack < 0:
             raise RuntimeError("merged target below zero")
-        state.inst = contract(
+        merged = contract(
             cur, u, v, y, delta_z=new_deg - slack,
             weight_z=inst.k_v + 1, cost_z=0,
             edge_policy="inherit", delta_updates={})
         # candidate edges of u live on at the merged vertex
         state.l = {e if u not in e else edge_key(y, e[0] if e[1] == u else e[1])
                    for e in state.l}
-        state.sync()
-        state.record("s-contraction-2", (v, u, y) + tuple(minted), before)
-        return CHANGED
+        return state.commit("s-contraction-2", (v, u, y) + tuple(minted),
+                            merged)
     return NOT_APPLICABLE
 
 
@@ -624,13 +541,10 @@ def _rule_t_prime_deletion(state: KernelState) -> str:
             if (frozenset(g.neighbors(u) & wp),
                     g.degree(u) - inst.delta[u]) != sig_v:
                 continue
-            before = inst
             updates = {x: max(0, inst.delta[x] - 1) for x in g.neighbors(v)}
             step = with_delta(inst, updates)
-            state.inst = delete_vertices(step, [v], charge=False)
-            state.sync()
-            state.record("t-prime-deletion", (v, u), before)
-            return CHANGED
+            return state.commit("t-prime-deletion", (v, u),
+                                delete_vertices(step, [v], charge=False))
     return NOT_APPLICABLE
 
 
@@ -656,7 +570,6 @@ def _rule_t_prime_contraction(state: KernelState) -> str:
                 break
         if mate is None:
             continue
-        before = inst
         cur = inst
         for x in sorted(g.neighbors(v) - tp):
             cur = delete_edge(cur, edge_key(v, x),
@@ -670,15 +583,11 @@ def _rule_t_prime_contraction(state: KernelState) -> str:
         state.next_id += 1
         new_deg = len((g_cur.neighbors(v) | g_cur.neighbors(y)) - {v, y})
         if new_deg - slack < 0:
-            state.record("t-prime-contraction", (v, mate, y), before, DECIDED_NO)
-            return DECIDED_NO
-        state.inst = contract(
+            return state.decide("t-prime-contraction", (v, mate, y), DECIDED_NO)
+        return state.commit("t-prime-contraction", (v, mate, y, z), contract(
             cur, min(v, y), max(v, y), z, delta_z=new_deg - slack,
             weight_z=inst.k_v + 1, cost_z=0,
-            edge_policy=("fixed", inst.k_e + 1, 0), delta_updates=updates)
-        state.sync()
-        state.record("t-prime-contraction", (v, mate, y, z), before)
-        return CHANGED
+            edge_policy=("fixed", inst.k_e + 1, 0), delta_updates=updates))
     return NOT_APPLICABLE
 
 
@@ -703,41 +612,36 @@ _RULE_HANDLERS = {
 
 def _exhaust(state: KernelState, rule: str) -> None:
     while state.decided is None:
-        if apply_kernel_rule(state, rule) != CHANGED:
+        if _RULE_HANDLERS[rule](state) != CHANGED:
+            break
+
+
+def _exhaust_then(state: KernelState, rule: str, then: str) -> None:
+    """Exhaust ``rule``, apply ``then`` once; repeat while ``then`` changes
+    the instance."""
+    while state.decided is None:
+        _exhaust(state, rule)
+        if state.decided or _RULE_HANDLERS[then](state) != CHANGED:
             break
 
 
 def reduce_dpggd(inst: Instance, cs: CandidateSets) -> KernelState:
     """Run the plain-variant reduction phases on a normalized instance."""
-    state = KernelState.start(inst, cs)
-    for rule in ("set-adjustment", "weight-adjustment", "s-reduction",
-                 "t-prime-reduction", "twin-reduction"):
+    state = KernelState(inst, set(cs.vertices), set(cs.edges))
+    for rule in PLAIN_RULES:
         _exhaust(state, rule)
-        if state.decided:
-            break
     return state
 
 
 def reduce_dcpggd(inst: Instance, cs: CandidateSets) -> KernelState:
     """Run the connected-variant reduction phases on a normalized instance."""
-    state = KernelState.start(inst, cs)
-    while state.decided is None:
-        _exhaust(state, "set-adjustment-c")
-        if state.decided or apply_kernel_rule(state, "vertex-deletion-c") != CHANGED:
-            break
+    state = KernelState(inst, set(cs.vertices), set(cs.edges))
+    _exhaust_then(state, "set-adjustment-c", "vertex-deletion-c")
     for rule in ("s-neighbour", "s-contraction-1", "stopping",
                  "weight-adjustment-c"):
-        if state.decided:
-            return state
         _exhaust(state, rule)
-    while state.decided is None:
-        _exhaust(state, "s-deletion")
-        if state.decided or apply_kernel_rule(state, "s-contraction-2") != CHANGED:
-            break
-    while state.decided is None:
-        _exhaust(state, "t-prime-deletion")
-        if state.decided or apply_kernel_rule(state, "t-prime-contraction") != CHANGED:
-            break
+    _exhaust_then(state, "s-deletion", "s-contraction-2")
+    _exhaust_then(state, "t-prime-deletion", "t-prime-contraction")
     return state
 
 

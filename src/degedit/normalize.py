@@ -1,4 +1,10 @@
-"""Instance normalization: decide easy instances or shrink to normal form.
+"""The rewrite state shared by every rule, and instance normalization.
+
+``KernelState`` is the one state both rule sets rewrite: the current
+instance, the candidate sets W and L (empty during normalization), the next
+id the kernel rules mint, and the event log.  A rule is a handler on that
+state; it either changes the instance through ``commit``, decides it
+through ``decide``, or reports that it does not apply.
 
 A normalized instance satisfies two output conditions: every degree lies in
 the window ``[delta(v), delta(v) + k_v + k_e]``, and every vertex already at
@@ -6,7 +12,8 @@ its target degree has a neighbour that is not.  Normalization repeatedly
 applies six safe rewrite rules (decide-yes, forced vertex deletion,
 contraction of satisfied clusters, isolate removal, plus the connected
 variants of the decision rules) until none applies; each rule either decides
-the instance or removes exactly one vertex, so the process terminates.
+the instance or removes exactly one vertex, so the process terminates.  A
+yes-decision's witness is read back from the event log.
 """
 
 from __future__ import annotations
@@ -34,16 +41,6 @@ NORMALIZED = "normalized"
 
 
 @dataclass(frozen=True)
-class StepResult:
-    kind: str
-    instance: Instance | None = None
-    witness: Solution | None = None
-    site: tuple = ()
-    # bookkeeping for witness lifting: ("contract", z, u, v) or ("charged", v)
-    note: tuple = ()
-
-
-@dataclass(frozen=True)
 class RuleEvent:
     """One rewrite step: an instance transition or a decision."""
     rule: str
@@ -59,6 +56,44 @@ class NormalizeOutcome:
     instance: Instance | None = None
     witness: Solution | None = None
     log: tuple[RuleEvent, ...] = field(default_factory=tuple)
+
+
+@dataclass
+class KernelState:
+    """An instance under rewriting, with W, L and the log of its steps."""
+    inst: Instance
+    w: set[int] = field(default_factory=set)
+    l: set[tuple[int, int]] = field(default_factory=set)
+    events: list[RuleEvent] = field(default_factory=list)
+    decided: str | None = None
+    next_id: int = field(init=False)  # first id the kernel rules may mint
+
+    def __post_init__(self):
+        self.next_id = max(self.inst.graph.vertices, default=0) + 1
+
+    def commit(self, rule: str, site: tuple, inst: Instance) -> str:
+        """Make ``inst`` the current instance, keep W and L inside it, log."""
+        self.events.append(RuleEvent(rule, site, self.inst, inst))
+        self.inst = inst
+        g = inst.graph
+        self.w = {v for v in self.w if g.has_vertex(v)}
+        self.l = {e for e in self.l if g.has_edge(*e)}
+        return CHANGED
+
+    def decide(self, rule: str, site: tuple, verdict: str) -> str:
+        self.events.append(RuleEvent(rule, site, self.inst, None, verdict))
+        self.decided = verdict
+        return verdict
+
+    def satisfied(self) -> set[int]:
+        g = self.inst.graph
+        return {v for v in g.vertices
+                if g.degree(v) == self.inst.delta[v] and v not in self.w}
+
+    def unsatisfied(self) -> set[int]:
+        g = self.inst.graph
+        return {v for v in g.vertices
+                if g.degree(v) > self.inst.delta[v] and v not in self.w}
 
 
 def satisfied_vertices(inst: Instance) -> set[int]:
@@ -79,79 +114,104 @@ def is_normalized(inst: Instance) -> bool:
     return True
 
 
-def apply_rule(inst: Instance, rule: str) -> StepResult:
-    """Apply one rule at its first applicable site in ascending vertex order."""
+# -- the six rules, each at its first site in ascending vertex order ----------
+
+
+def _rule_yes_instance(state: KernelState) -> str:
+    if len(state.satisfied()) == state.inst.graph.n:
+        return state.decide(YES_INSTANCE, (), DECIDED_YES)
+    return NOT_APPLICABLE
+
+
+def _rule_yes_instance_connected(state: KernelState) -> str:
+    g = state.inst.graph
+    if len(state.satisfied()) == g.n and g.is_connected():
+        return state.decide(YES_INSTANCE_CONNECTED, (), DECIDED_YES)
+    return NOT_APPLICABLE
+
+
+def _rule_vertex_deletion(state: KernelState) -> str:
+    inst = state.inst
     g = inst.graph
-    if rule in (YES_INSTANCE, ISOLATES_REMOVAL) and inst.variant != PLAIN:
+    span = inst.k_v + inst.k_e
+    for v in g.sorted_vertices():
+        if g.degree(v) < inst.delta[v] or g.degree(v) > inst.delta[v] + span:
+            out = delete_vertices(inst, [v], charge=True)
+            if out is None:
+                return state.decide(VERTEX_DELETION, (v,), DECIDED_NO)
+            return state.commit(VERTEX_DELETION, (v,), out)
+    return NOT_APPLICABLE
+
+
+def _rule_contraction(state: KernelState) -> str:
+    inst = state.inst
+    g = inst.graph
+    sat = state.satisfied()
+    for v in g.sorted_vertices():
+        if v in sat and g.degree(v) >= 1 and g.neighbors(v) <= sat:
+            # contract v with its least neighbour into a fresh vertex whose
+            # whole neighbourhood becomes undeletable; every common
+            # neighbour is satisfied and loses one degree
+            u = min(g.neighbors(v))
+            nu, nv = g.neighbors(u), g.neighbors(v)
+            out = contract(
+                inst, u, v, max(g.vertices) + 1,
+                delta_z=len((nu | nv) - {u, v}),
+                weight_z=inst.weight_v[u] + inst.weight_v[v],
+                cost_z=inst.cost_v[u] + inst.cost_v[v],
+                edge_policy=("fixed", inst.k_e + 1, 0),
+                delta_updates={x: inst.delta[x] - 1 for x in nu & nv})
+            return state.commit(CONTRACTION, (u, v), out)
+    return NOT_APPLICABLE
+
+
+def _rule_isolates_removal(state: KernelState) -> str:
+    g = state.inst.graph
+    for v in g.sorted_vertices():
+        if g.degree(v) == 0:
+            return state.commit(ISOLATES_REMOVAL, (v,),
+                                delete_vertices(state.inst, [v], charge=False))
+    return NOT_APPLICABLE
+
+
+def _rule_isolates_removal_connected(state: KernelState) -> str:
+    inst = state.inst
+    g = inst.graph
+    for v in g.sorted_vertices():
+        if g.degree(v) == 0:
+            # deleting everything but v leaves a connected graph
+            rest = g.vertices - {v}
+            if (sum(inst.weight_v[x] for x in rest) <= inst.k_v
+                    and sum(inst.cost_v[x] for x in rest) <= inst.cost_budget):
+                return state.decide(ISOLATES_REMOVAL_CONNECTED, (v,), DECIDED_YES)
+            out = delete_vertices(inst, [v], charge=True)
+            if out is None:
+                return state.decide(ISOLATES_REMOVAL_CONNECTED, (v,), DECIDED_NO)
+            return state.commit(ISOLATES_REMOVAL_CONNECTED, (v,), out)
+    return NOT_APPLICABLE
+
+
+_RULE_HANDLERS = {
+    YES_INSTANCE: _rule_yes_instance,
+    VERTEX_DELETION: _rule_vertex_deletion,
+    CONTRACTION: _rule_contraction,
+    ISOLATES_REMOVAL: _rule_isolates_removal,
+    YES_INSTANCE_CONNECTED: _rule_yes_instance_connected,
+    ISOLATES_REMOVAL_CONNECTED: _rule_isolates_removal_connected,
+}
+
+
+def apply_rule(state: KernelState, rule: str) -> str:
+    """Apply one rule at its first site; mutates the state and logs."""
+    variant = state.inst.variant
+    if rule in (YES_INSTANCE, ISOLATES_REMOVAL) and variant != PLAIN:
         raise ValueError(f"rule {rule!r} only applies to the plain variant")
     if rule in (YES_INSTANCE_CONNECTED, ISOLATES_REMOVAL_CONNECTED) \
-            and inst.variant != CONNECTED:
+            and variant != CONNECTED:
         raise ValueError(f"rule {rule!r} only applies to the connected variant")
-
-    if rule == YES_INSTANCE:
-        if satisfied_vertices(inst) == set(g.vertices):
-            return StepResult(DECIDED_YES, witness=Solution.of(inst), site=())
-        return StepResult(NOT_APPLICABLE)
-
-    if rule == YES_INSTANCE_CONNECTED:
-        if satisfied_vertices(inst) == set(g.vertices) and g.is_connected():
-            return StepResult(DECIDED_YES, witness=Solution.of(inst), site=())
-        return StepResult(NOT_APPLICABLE)
-
-    if rule == VERTEX_DELETION:
-        span = inst.k_v + inst.k_e
-        for v in g.sorted_vertices():
-            if g.degree(v) < inst.delta[v] or g.degree(v) > inst.delta[v] + span:
-                out = delete_vertices(inst, [v], charge=True)
-                if out is None:
-                    return StepResult(DECIDED_NO, site=(v,))
-                return StepResult(CHANGED, instance=out, site=(v,),
-                                  note=("charged", v))
-        return StepResult(NOT_APPLICABLE)
-
-    if rule == CONTRACTION:
-        sat = satisfied_vertices(inst)
-        for v in g.sorted_vertices():
-            if v in sat and g.degree(v) >= 1 and g.neighbors(v) <= sat:
-                # contract v with its least neighbour into a fresh vertex
-                # whose whole neighbourhood becomes undeletable; every common
-                # neighbour is satisfied and loses one degree
-                u = min(g.neighbors(v))
-                z = max(g.vertices) + 1
-                nu, nv = g.neighbors(u), g.neighbors(v)
-                out = contract(
-                    inst, u, v, z, delta_z=len((nu | nv) - {u, v}),
-                    weight_z=inst.weight_v[u] + inst.weight_v[v],
-                    cost_z=inst.cost_v[u] + inst.cost_v[v],
-                    edge_policy=("fixed", inst.k_e + 1, 0),
-                    delta_updates={x: inst.delta[x] - 1 for x in nu & nv})
-                return StepResult(CHANGED, instance=out, site=(u, v),
-                                  note=("contract", z, u, v))
-        return StepResult(NOT_APPLICABLE)
-
-    if rule == ISOLATES_REMOVAL:
-        for v in g.sorted_vertices():
-            if g.degree(v) == 0:
-                out = delete_vertices(inst, [v], charge=False)
-                return StepResult(CHANGED, instance=out, site=(v,))
-        return StepResult(NOT_APPLICABLE)
-
-    if rule == ISOLATES_REMOVAL_CONNECTED:
-        for v in g.sorted_vertices():
-            if g.degree(v) == 0:
-                rest = sorted(g.vertices - {v})
-                if (sum(inst.weight_v[x] for x in rest) <= inst.k_v
-                        and sum(inst.cost_v[x] for x in rest) <= inst.cost_budget):
-                    return StepResult(
-                        DECIDED_YES, witness=Solution.of(inst, rest), site=(v,))
-                out = delete_vertices(inst, [v], charge=True)
-                if out is None:
-                    return StepResult(DECIDED_NO, site=(v,))
-                return StepResult(CHANGED, instance=out, site=(v,),
-                                  note=("charged", v))
-        return StepResult(NOT_APPLICABLE)
-
-    raise ValueError(f"unknown rule: {rule!r}")
+    if rule not in _RULE_HANDLERS:
+        raise ValueError(f"unknown rule: {rule!r}")
+    return _RULE_HANDLERS[rule](state)
 
 
 def _rule_order(variant: str) -> tuple[str, ...]:
@@ -161,51 +221,43 @@ def _rule_order(variant: str) -> tuple[str, ...]:
     return (YES_INSTANCE, VERTEX_DELETION, CONTRACTION, ISOLATES_REMOVAL)
 
 
-def _lift(witness_vertices: set[int], charged: list[int],
-          contractions: dict[int, tuple[int, int]]) -> frozenset[int]:
-    """Map a deletion set back to original vertex ids through contractions."""
-    out = set(witness_vertices) | set(charged)
-    changed = True
-    while changed:
-        changed = False
-        for z in list(out):
-            if z in contractions:
+def _lift_witness(log: tuple[RuleEvent, ...]) -> frozenset[int]:
+    """The vertices a yes-decided log deletes, in its first instance's ids.
+
+    Read newest event first, so every id means the vertex it named at that
+    step: a connected isolate decision deletes all but its site, a charged
+    deletion adds its site, and a contraction gives back its two ends for
+    the one vertex it minted.
+    """
+    decision = log[-1]
+    out = set()
+    if decision.rule == ISOLATES_REMOVAL_CONNECTED:
+        out = set(decision.before.graph.vertices) - set(decision.site)
+    for ev in reversed(log[:-1]):
+        if ev.rule == CONTRACTION:
+            (z,) = ev.after.graph.vertices - ev.before.graph.vertices
+            if z in out:
                 out.remove(z)
-                out.update(contractions[z])
-                changed = True
+                out.update(ev.site)
+        elif ev.rule in (VERTEX_DELETION, ISOLATES_REMOVAL_CONNECTED):
+            out.add(ev.site[0])
     return frozenset(out)
 
 
 def normalize(inst: Instance) -> NormalizeOutcome:
     """Exhaust the rewrite rules; decide the instance or emit normal form.
 
+    After each change the rules restart from the first one in order.
     Decisions carry witnesses lifted back to the original vertex ids.
     """
-    original = inst
-    events: list[RuleEvent] = []
-    charged: list[int] = []
-    contractions: dict[int, tuple[int, int]] = {}
+    state = KernelState(inst)
     order = _rule_order(inst.variant)
-    while True:
-        for rule in order:
-            res = apply_rule(inst, rule)
-            if res.kind == NOT_APPLICABLE:
-                continue
-            if res.kind == CHANGED:
-                events.append(RuleEvent(rule, res.site, inst, res.instance))
-                if res.note and res.note[0] == "charged":
-                    charged.append(res.note[1])
-                elif res.note and res.note[0] == "contract":
-                    contractions[res.note[1]] = (res.note[2], res.note[3])
-                inst = res.instance
-                break
-            events.append(RuleEvent(rule, res.site, inst, None, res.kind))
-            if res.kind == DECIDED_YES:
-                lifted = _lift(set(res.witness.deleted_vertices),
-                               charged, contractions)
-                return NormalizeOutcome(
-                    DECIDED_YES, witness=Solution.of(original, lifted),
-                    log=tuple(events))
-            return NormalizeOutcome(DECIDED_NO, log=tuple(events))
-        else:
-            return NormalizeOutcome(NORMALIZED, instance=inst, log=tuple(events))
+    while state.decided is None:
+        if all(apply_rule(state, rule) == NOT_APPLICABLE for rule in order):
+            return NormalizeOutcome(NORMALIZED, instance=state.inst,
+                                    log=tuple(state.events))
+    log = tuple(state.events)
+    if state.decided == DECIDED_YES:
+        return NormalizeOutcome(
+            DECIDED_YES, witness=Solution.of(inst, _lift_witness(log)), log=log)
+    return NormalizeOutcome(DECIDED_NO, log=log)

@@ -1,10 +1,10 @@
 """Tree decompositions: construction, nice form, validation, PACE text format.
 
-``decompose`` offers two modes.  The heuristic takes the better of the
-min-degree and min-fill elimination orders; downstream correctness never
-depends on width optimality, only running time does.  ``exact-small``
-determines the true treewidth by iterative deepening over elimination
-orders with memoized failure states, and is refused above a size cap.
+``decompose`` offers two modes.  The heuristic eliminates in min-degree
+order; downstream correctness never depends on width optimality, only
+running time does.  ``exact-small`` determines the true treewidth by
+iterative deepening over elimination orders with memoized failure states,
+bounded above by the min-degree width, and is refused above a size cap.
 """
 
 from __future__ import annotations
@@ -96,22 +96,15 @@ def _eliminate(adj: dict[int, set[int]], v: int) -> None:
     del adj[v]
 
 
-def _fill_count(adj: dict[int, set[int]], v: int) -> int:
-    """Non-adjacent pairs among v's neighbours."""
-    nbrs = adj[v]
-    return sum(len(nbrs - adj[a]) - 1 for a in nbrs) // 2
+def _min_degree_order(g: Graph) -> list[int]:
+    """Repeatedly eliminate the vertex minimising (degree, id).
 
-
-def _greedy_order(g: Graph, key, affected) -> list[int]:
-    """Repeatedly eliminate the vertex minimising (key, id).
-
-    A heap holds (key, id) pairs; an entry is stale once its vertex is gone
-    or its key changed, and is dropped when popped.  After eliminating v
-    only the vertices in ``affected(adj, nbrs)`` get new keys, where nbrs
-    is N(v) before the elimination.
+    A heap holds (degree, id) pairs; an entry is stale once its vertex is
+    gone or its degree changed, and is dropped when popped.  Eliminating v
+    changes only the degrees of its neighbours.
     """
     adj = _adj_dict(g)
-    current = {v: key(adj, v) for v in adj}
+    current = {v: len(ns) for v, ns in adj.items()}
     heap = [(k, v) for v, k in current.items()]
     heapq.heapify(heap)
     order = []
@@ -123,32 +116,12 @@ def _greedy_order(g: Graph, key, affected) -> list[int]:
         del current[v]
         nbrs = adj[v]
         _eliminate(adj, v)
-        for x in affected(adj, nbrs):
-            k = key(adj, x)
+        for x in nbrs:
+            k = len(adj[x])
             if current[x] != k:
                 current[x] = k
                 heapq.heappush(heap, (k, x))
     return order
-
-
-def _min_degree_order(g: Graph) -> list[int]:
-    # only the eliminated vertex's neighbours change degree
-    return _greedy_order(g, lambda adj, x: len(adj[x]), lambda adj, nbrs: nbrs)
-
-
-def _fill_affected(adj: dict[int, set[int]], nbrs: set[int]) -> set[int]:
-    # fill edges join vertices of N(v), so outside N(v) a fill count changes
-    # only for vertices with at least two neighbours in N(v)
-    seen: set[int] = set()
-    out = set(nbrs)
-    for a in nbrs:
-        out |= adj[a] & seen
-        seen |= adj[a]
-    return out
-
-
-def _min_fill_order(g: Graph) -> list[int]:
-    return _greedy_order(g, _fill_count, _fill_affected)
 
 
 def from_elimination_order(g: Graph, order: list[int]) -> TreeDecomposition:
@@ -224,8 +197,7 @@ def exact_treewidth(g: Graph) -> int:
             f"exact treewidth refused for n={g.n} > cap {EXACT_CAP}")
     if g.n == 0:
         return -1
-    upper = min(from_elimination_order(g, _min_degree_order(g)).width,
-                from_elimination_order(g, _min_fill_order(g)).width)
+    upper = from_elimination_order(g, _min_degree_order(g)).width
     width = _degeneracy(g)
     while width < upper:
         if _can_eliminate(_adj_dict(g), width, set()):
@@ -259,12 +231,7 @@ def _exact_order(g: Graph, width: int) -> list[int]:
 def decompose(g: Graph, mode: str = "heuristic") -> TreeDecomposition:
     """Build a valid tree decomposition of g."""
     if mode == "heuristic":
-        best = None
-        for order_fn in (_min_degree_order, _min_fill_order):
-            td = from_elimination_order(g, order_fn(g))
-            if best is None or td.width < best.width:
-                best = td
-        return best
+        return from_elimination_order(g, _min_degree_order(g))
     if mode == "exact-small":
         width = exact_treewidth(g)
         if g.n == 0:

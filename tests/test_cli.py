@@ -125,7 +125,7 @@ def test_capacity_exit_code(tmp_path, capsys):
     assert "capacity" in err
 
 
-def test_alpha_cap_env_override():
+def test_alpha_cap_defaults():
     from degedit.kernelize import alpha_cap_for
     assert alpha_cap_for(PLAIN) == 3
     assert alpha_cap_for(CONNECTED) == 2

@@ -10,7 +10,7 @@ from degedit.generator import random_planar_graph
 from degedit.graph import Graph
 from degedit.treewidth import (DecompositionVerdict, NiceTreeDecomposition,
                                TreeDecomposition, _adj_dict, _eliminate,
-                               _is_tree, _min_degree_order, _min_fill_order,
+                               _is_tree, _min_degree_order,
                                _nice_tree_edges, _validate_nice_shape,
                                decompose, to_nice, validate)
 
@@ -61,31 +61,11 @@ def test_set_order_on_wide_masks(pair):
 # -- elimination orders --------------------------------------------------------
 
 
-def _fill_count_scan(adj, v):
-    nbrs = sorted(adj[v])
-    missing = 0
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if b not in adj[a]:
-                missing += 1
-    return missing
-
-
 def _min_degree_order_scan(g):
     adj = _adj_dict(g)
     order = []
     while adj:
         v = min(adj, key=lambda x: (len(adj[x]), x))
-        order.append(v)
-        _eliminate(adj, v)
-    return order
-
-
-def _min_fill_order_scan(g):
-    adj = _adj_dict(g)
-    order = []
-    while adj:
-        v = min(adj, key=lambda x: (_fill_count_scan(adj, x), x))
         order.append(v)
         _eliminate(adj, v)
     return order
@@ -106,7 +86,6 @@ def _order_graphs():
 def test_heap_orders_match_min_scans():
     for g in _order_graphs():
         assert _min_degree_order(g) == _min_degree_order_scan(g)
-        assert _min_fill_order(g) == _min_fill_order_scan(g)
 
 
 # -- validation ----------------------------------------------------------------

@@ -4,12 +4,13 @@ import pytest
 
 from degedit.generator import generate_random_planar_instance
 from degedit.graph import is_planar
-from degedit.instance import CONNECTED, PLAIN, Solution, check_solution
+from degedit.instance import CONNECTED, PLAIN, check_solution
+from degedit.io import parse_instance
 from degedit.normalize import (CHANGED, CONTRACTION, DECIDED_NO, DECIDED_YES,
-                               ISOLATES_REMOVAL, ISOLATES_REMOVAL_CONNECTED,
-                               NORMALIZED, NOT_APPLICABLE, VERTEX_DELETION,
-                               YES_INSTANCE, YES_INSTANCE_CONNECTED, apply_rule,
-                               is_normalized, normalize)
+                               ISOLATES_REMOVAL_CONNECTED, NORMALIZED,
+                               NOT_APPLICABLE, VERTEX_DELETION, YES_INSTANCE,
+                               KernelState, apply_rule, is_normalized,
+                               normalize)
 from degedit.oracle import brute_force_min_cost
 
 from conftest import make_instance, path_instance, random_corpus
@@ -24,59 +25,74 @@ def star(n_leaves, delta_center, delta_leaf, **kw):
 
 def test_yes_rule_on_satisfied_singleton():
     inst = make_instance([5], [], 0)
-    res = apply_rule(inst, YES_INSTANCE)
-    assert res.kind == DECIDED_YES
-    assert res.witness.canonical() == ((), ())
+    state = KernelState(inst)
+    assert apply_rule(state, YES_INSTANCE) == DECIDED_YES
+    assert state.decided == DECIDED_YES
+    assert state.events[-1].site == ()
+    assert state.events[-1].after is None
+    assert normalize(inst).witness.canonical() == ((), ())
 
 
 def test_vertex_deletion_rule_fires_above_window():
     # center degree 5 with target 1 and span 3 forces deletion
     inst = star(5, 1, 1, k_v=2, k_e=1, cost_budget=5)
-    res = apply_rule(inst, VERTEX_DELETION)
-    assert res.kind == CHANGED
-    assert res.site == (0,)
-    assert res.instance.k_v == 1  # charged weight 1
-    assert res.instance.cost_budget == 4
+    state = KernelState(inst)
+    assert apply_rule(state, VERTEX_DELETION) == CHANGED
+    ev = state.events[-1]
+    assert ev.site == (0,)
+    assert ev.before is inst and ev.after is state.inst
+    assert state.inst.k_v == 1  # charged weight 1
+    assert state.inst.cost_budget == 4
 
 
 def test_contraction_rule_merges_satisfied_pair():
     # path a-b-c-d with all degrees matching: interior pair contracts
     inst = path_instance(4, {1: 1, 2: 2, 3: 2, 4: 1}, k_e=1, variant=PLAIN)
-    res = apply_rule(inst, CONTRACTION)
-    assert res.kind == CHANGED
-    z = res.note[1]
-    g2 = res.instance.graph
-    assert z in g2.vertices
-    assert res.instance.weight_v[z] == 2
-    assert all(res.instance.weight_e[e] == inst.k_e + 1
+    state = KernelState(inst)
+    assert apply_rule(state, CONTRACTION) == CHANGED
+    g2 = state.inst.graph
+    (z,) = g2.vertices - inst.graph.vertices
+    assert z == max(inst.graph.vertices) + 1
+    assert state.inst.weight_v[z] == 2
+    assert all(state.inst.weight_e[e] == inst.k_e + 1
                for e in g2.incident_edges(z))
-    assert res.instance.delta[z] == g2.degree(z)
+    assert state.inst.delta[z] == g2.degree(z)
 
 
 def test_connected_isolates_rule_yes_branch():
     # deleting everything except the isolate fits the budgets
     inst = make_instance([1, 2, 3], [(1, 2)], {1: 1, 2: 1, 3: 0},
                          k_v=2, cost_budget=2, variant=CONNECTED)
-    res = apply_rule(inst, ISOLATES_REMOVAL_CONNECTED)
-    assert res.kind == DECIDED_YES
-    assert res.witness.deleted_vertices == {1, 2}
+    state = KernelState(inst)
+    assert apply_rule(state, ISOLATES_REMOVAL_CONNECTED) == DECIDED_YES
+    assert state.events[-1].site == (3,)
+    out = normalize(inst)
+    assert out.kind == DECIDED_YES
+    assert out.witness.deleted_vertices == {1, 2}
 
 
 def test_connected_isolates_rule_charge_branch():
     inst = make_instance([1, 2, 3], [(1, 2)], {1: 1, 2: 1, 3: 0},
                          k_v=1, cost_budget=1, variant=CONNECTED)
-    res = apply_rule(inst, ISOLATES_REMOVAL_CONNECTED)
-    assert res.kind == CHANGED
-    assert res.instance.graph.vertices == {1, 2}
-    assert res.instance.k_v == 0
+    state = KernelState(inst)
+    assert apply_rule(state, ISOLATES_REMOVAL_CONNECTED) == CHANGED
+    assert state.inst.graph.vertices == {1, 2}
+    assert state.inst.k_v == 0
 
 
 def test_rule_variant_gating():
-    inst = make_instance([1], [], 0, variant=CONNECTED)
+    state = KernelState(make_instance([1], [], 0, variant=CONNECTED))
     with pytest.raises(ValueError):
-        apply_rule(inst, YES_INSTANCE)
+        apply_rule(state, YES_INSTANCE)
     with pytest.raises(ValueError):
-        apply_rule(path_instance(2, 1), ISOLATES_REMOVAL_CONNECTED)
+        apply_rule(KernelState(path_instance(2, 1)), ISOLATES_REMOVAL_CONNECTED)
+
+
+def test_rule_not_applicable_leaves_state():
+    inst = path_instance(3, {1: 1, 2: 2, 3: 1}, k_v=1)
+    state = KernelState(inst)
+    assert apply_rule(state, VERTEX_DELETION) == NOT_APPLICABLE
+    assert state.inst is inst and state.events == [] and state.decided is None
 
 
 def test_normalize_triangle_decided_yes():
@@ -141,3 +157,34 @@ def test_single_rule_safety_random():
                 assert before == brute_force_min_cost(ev.after).feasible
             checked += 1
     assert checked > 100
+
+
+def test_witness_survives_a_reminted_id():
+    # vertex 4 is charged and deleted, then the contraction of 2 and 3
+    # mints 4 again; the witness must keep the charged vertex, not the pair
+    inst = parse_instance("""p degedit 4 2 3 2 10 1
+v 1 0 1 1
+v 2 1 2 1
+v 3 1 2 1
+v 4 2 2 2
+e 1 4 1 1
+e 2 3 1 0
+""")
+    out = normalize(inst)
+    assert out.kind == DECIDED_YES
+    assert out.witness.deleted_vertices == {1, 4}
+    assert check_solution(inst, out.witness).ok
+
+
+def test_yes_witnesses_pass_on_raw_sweep():
+    failing = []
+    for s in range(6000):
+        rng = random.Random(s)
+        inst = generate_random_planar_instance(
+            rng.randint(4, 10), rng.randint(1, 5), rng.randint(0, 2),
+            rng.randint(2, 12), CONNECTED if rng.random() < 0.7 else PLAIN,
+            seed=s, raw=True, keep_prob=rng.uniform(0.2, 0.7))
+        out = normalize(inst)
+        if out.kind == DECIDED_YES and not check_solution(inst, out.witness):
+            failing.append(s)
+    assert failing == []

@@ -39,3 +39,14 @@ def test_no_environment_knobs_in_package():
 
     found = _find(reads_env)
     assert not found, found
+
+
+OUTCOMES = ("CHANGED", "NOT_APPLICABLE", "DECIDED_YES", "DECIDED_NO")
+
+
+def test_rule_outcomes_defined_once():
+    # every rule reports through the outcome constants of ``normalize``
+    found = _find(lambda node: isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store) and node.id in OUTCOMES)
+    assert all(f.startswith("normalize.py:") for f in found), found
+    assert len(found) == len(OUTCOMES), found
