@@ -55,6 +55,8 @@ def _solve_with(inst, method: str, width_cap: int) -> Solution | None:
 
 
 def cmd_solve(args) -> int:
+    if args.width_cap < 0:
+        raise ParseError("--width-cap must be non-negative")
     inst = _read_instance(args.input)
     sol = _solve_with(inst, args.method, args.width_cap)
     sys.stdout.write(format_solution(sol))

@@ -2,12 +2,21 @@
 
 Bottom-up tables are kept per node.  A key records, for the subgraph below
 the node: which bag vertices are deleted, which bag edges are deleted, the
-degree damage already inflicted on each kept bag vertex from below (deleted
-below-bag neighbours plus deleted below-bag edges), and the exact vertex
-and edge weight spent so far.  The connected solver additionally tracks the
+total loss so far of each kept bag vertex (its deleted neighbours plus its
+deleted incident edges, bag ones included), and the exact vertex and edge
+weight spent so far.  The connected solver additionally tracks the
 partition of kept bag vertices into components of the partial graph, plus a
 flag for a component that no longer meets the bag (legal only while no kept
 bag vertex remains; at most one such component can ever survive).
+
+A kept vertex must end at exactly delta(v), so its loss may never pass
+``cap = min(k_v + k_e, deg(v) - delta(v))``: every deletion weighs at least
+one, and the forget node demands ``loss == deg(v) - delta(v)``.  Loss only
+grows on the way up and every kept vertex meets its forget node, so a key
+over its cap can never reach the root and is dropped at once; a negative
+cap forbids keeping the vertex at all.  Given (x, y), loss and the damage
+from below determine each other, so dropping such keys changes no surviving
+key's entry.
 
 Keys use exact spent weight rather than a remaining-budget allowance; the
 two forms determine each other (an allowance answer is the best entry over
@@ -23,7 +32,7 @@ few big-int operations: below the lowest bit where two masks differ they
 agree, and the mask holding that bit sorts first exactly when the other
 mask has a higher bit (otherwise the other is a proper prefix).  Sorted
 ids and edge pairs are built once, for the chosen root entry only.
-Per-node work (``_guard`` included) touches only the node's bag.
+Per-node work touches only the node's bag.
 """
 
 from __future__ import annotations
@@ -43,18 +52,17 @@ class _Ctx:
     ids: list[int]                      # index -> vertex id (ascending)
     idx: dict[int, int]
     adj: list[int]                      # index -> neighbour bitmask
-    deg: list[int]
-    delta: list[int]
+    slack: list[int]                    # index -> the loss a kept vertex ends at
     wv: list[int]
     cv: list[int]
     edges: list[tuple[int, int]]        # edge number -> id pair (lex sorted)
     we: list[int]
     ce: list[int]
-    span: int                           # damage cap k_v + k_e
+    cap: list[int]                      # index -> most loss a kept vertex takes
     connected: bool
     bag_idx: list[tuple[int, ...]]      # node -> sorted bag (as indices)
-    bag_mask: list[int]
     incident: list[list[tuple[int, int, int]]]  # node -> (edge_no, other, bit)
+    key_bound: list[int]                # node -> size of its key space
 
 
 def _prepare(inst: Instance, ntd: NiceTreeDecomposition) -> _Ctx:
@@ -66,22 +74,22 @@ def _prepare(inst: Instance, ntd: NiceTreeDecomposition) -> _Ctx:
             adj[idx[v]] |= 1 << idx[u]
     edges = sorted(inst.graph.edges())
     eno = {(idx[a], idx[b]): i for i, (a, b) in enumerate(edges)}
+    slack = [inst.graph.degree(v) - inst.delta[v] for v in ids]
+    span = inst.k_v + inst.k_e
     ctx = _Ctx(
-        inst=inst, ntd=ntd, ids=ids, idx=idx, adj=adj,
-        deg=[inst.graph.degree(v) for v in ids],
-        delta=[inst.delta[v] for v in ids],
+        inst=inst, ntd=ntd, ids=ids, idx=idx, adj=adj, slack=slack,
         wv=[inst.weight_v[v] for v in ids],
         cv=[inst.cost_v[v] for v in ids],
         edges=edges,
         we=[inst.weight_e[e] for e in edges],
         ce=[inst.cost_e[e] for e in edges],
-        span=inst.k_v + inst.k_e,
+        cap=[min(span, s) for s in slack],
         connected=inst.connected_variant,
-        bag_idx=[], bag_mask=[], incident=[])
+        bag_idx=[], incident=[], key_bound=[])
     for node in range(len(ntd)):
         bag = tuple(sorted(idx[v] for v in ntd.bags[node]))
         ctx.bag_idx.append(bag)
-        ctx.bag_mask.append(sum(1 << i for i in bag))
+        ctx.key_bound.append(_key_bound(ctx, bag))
         inc: list[tuple[int, int, int]] = []
         if ntd.kinds[node] in (INTRODUCE, FORGET) and ntd.vertex[node] is not None:
             v = idx[ntd.vertex[node]]
@@ -148,15 +156,25 @@ def _relabel(labels: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _guard(ctx: _Ctx, node: int, table: dict) -> None:
-    # key count can never exceed the size of the key space
-    b = len(ctx.bag_idx[node])
-    bag_mask = ctx.bag_mask[node]
-    be = sum(bin(ctx.adj[i] & bag_mask).count("1") for i in ctx.bag_idx[node]) // 2
-    bound = (2 ** b) * (2 ** be) * (ctx.span + 1) ** b \
-        * (ctx.inst.k_v + 1) * (ctx.inst.k_e + 1)
+def _key_bound(ctx: _Ctx, bag: tuple[int, ...]) -> int:
+    """Size of a node's key space: no table may hold more keys."""
+    bag_mask = 0
+    for i in bag:
+        bag_mask |= 1 << i
+    ends = 0  # bag edge ends, twice the bag edges
+    bound = (ctx.inst.k_v + 1) * (ctx.inst.k_e + 1)
+    for i in bag:
+        ends += (ctx.adj[i] & bag_mask).bit_count()
+        if ctx.cap[i] > 0:
+            bound *= ctx.cap[i] + 1
+    bound <<= len(bag) + ends // 2  # deleted bag vertices and edges
     if ctx.connected:
-        bound *= 2 * (b + 1) ** b
+        bound *= 2 * (len(bag) + 1) ** len(bag)
+    return bound
+
+
+def _guard(ctx: _Ctx, node: int, table: dict) -> None:
+    bound = ctx.key_bound[node]
     if len(table) > bound:
         raise RuntimeError(
             f"table at node {node} has {len(table)} keys, bound {bound}")
@@ -180,30 +198,52 @@ def process_node(ctx: _Ctx, node: int, child_tables: list[dict]) -> dict:
     return table
 
 
+def _lose(loss: tuple, kept: tuple[int, ...], hit: int, cap: list[int]):
+    """loss plus one for each kept vertex in the mask hit; None once a
+    vertex passes its cap."""
+    out = list(loss)
+    for i, u in enumerate(kept):
+        if (hit >> u) & 1:
+            out[i] += 1
+            if out[i] > cap[u]:
+                return None
+    return tuple(out)
+
+
 def _introduce(ctx: _Ctx, node: int, child: dict) -> dict:
     inst = ctx.inst
     v = ctx.idx[ctx.ntd.vertex[node]]
     v_bit = 1 << v
+    adj_v = ctx.adj[v]
+    cap = ctx.cap
     cand = ctx.incident[node]  # edges from v into the child bag
     child_bag = ctx.bag_idx[ctx.ntd.children[node][0]]
     table: dict = {}
     for key, ent in child.items():
-        x, y, dmg, uv, ue = key[:5]
+        x, y, loss, uv, ue = key[:5]
         cost, u_mask, d_mask = ent
-        # branch: delete v
+        kept_before = _kept(child_bag, x)
+        # branch: delete v; each kept bag neighbour loses it
         uv2 = uv + ctx.wv[v]
         if uv2 <= inst.k_v:
-            key2 = (x | v_bit, y, dmg, uv2, ue) + key[5:]
-            _update(table, key2, cost + ctx.cv[v], u_mask | v_bit, d_mask)
+            loss2 = _lose(loss, kept_before, adj_v, cap)
+            if loss2 is not None:
+                key2 = (x | v_bit, y, loss2, uv2, ue) + key[5:]
+                _update(table, key2, cost + ctx.cv[v], u_mask | v_bit, d_mask)
         # branch: keep v, choosing the subset of its kept-bag edges to delete
         if ctx.connected and key[6]:
             continue  # a closed component tolerates no new kept vertex
+        lost = (adj_v & x).bit_count()  # v starts without its deleted neighbours
+        if lost > cap[v]:
+            continue  # also where a negative cap forbids keeping v
         live = [(e, u, ub) for (e, u, ub) in cand if not (x >> u) & 1]
-        kept_before = _kept(child_bag, x)
         pos = bisect_left(kept_before, v)
         n_live = len(live)
         for pick in range(1 << n_live):
-            ue2, extra_cost, l_mask, survivors = ue, 0, 0, []
+            lost_v = lost + pick.bit_count()  # a picked edge costs both ends
+            if lost_v > cap[v]:
+                continue
+            ue2, extra_cost, l_mask, hit, survivors = ue, 0, 0, 0, []
             ok = True
             for j in range(n_live):
                 e, u, ub = live[j]
@@ -214,11 +254,15 @@ def _introduce(ctx: _Ctx, node: int, child: dict) -> dict:
                         break
                     extra_cost += ctx.ce[e]
                     l_mask |= 1 << e
+                    hit |= ub
                 else:
                     survivors.append(u)
             if not ok:
                 continue
-            dmg2 = dmg[:pos] + (0,) + dmg[pos:]
+            loss2 = _lose(loss, kept_before, hit, cap)
+            if loss2 is None:
+                continue
+            loss2 = loss2[:pos] + (lost_v,) + loss2[pos:]
             if ctx.connected:
                 blocks = key[5]
                 labels = list(blocks[:pos]) + [len(blocks) + 1] + list(blocks[pos:])
@@ -227,9 +271,9 @@ def _introduce(ctx: _Ctx, node: int, child: dict) -> dict:
                     target = labels[pos]
                     merged = {labels[kept_after.index(u)] for u in survivors}
                     labels = [target if l in merged else l for l in labels]
-                key2 = (x, y | l_mask, dmg2, uv, ue2, _relabel(labels), False)
+                key2 = (x, y | l_mask, loss2, uv, ue2, _relabel(labels), False)
             else:
-                key2 = (x, y | l_mask, dmg2, uv, ue2)
+                key2 = (x, y | l_mask, loss2, uv, ue2)
             _update(table, key2, cost + extra_cost, u_mask, d_mask | l_mask)
     return table
 
@@ -237,52 +281,21 @@ def _introduce(ctx: _Ctx, node: int, child: dict) -> dict:
 def _forget(ctx: _Ctx, node: int, child: dict) -> dict:
     v = ctx.idx[ctx.ntd.vertex[node]]
     v_bit = 1 << v
-    child_bag = ctx.bag_idx[ctx.ntd.children[node][0]]
-    v_edges = ctx.incident[node]  # edges from v into the child bag
+    below_v = sum(1 << i for i in ctx.bag_idx[ctx.ntd.children[node][0]] if i < v)
+    v_edges = sum(1 << e for e, _u, _ub in ctx.incident[node])  # into the bag
+    need = ctx.slack[v]
     table: dict = {}
     for key, ent in child.items():
-        x, y, dmg, uv, ue = key[:5]
-        cost, u_mask, d_mask = ent
-        kept_before = _kept(child_bag, x)
-        if (x >> v) & 1:
-            # v was deleted: its kept bag neighbours take one damage each
-            dmg2 = list(dmg)
-            ok = True
-            for i, u in enumerate(kept_before):
-                if (ctx.adj[v] >> u) & 1:
-                    dmg2[i] += 1
-                    if dmg2[i] > ctx.span:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            key2 = (x & ~v_bit, y, tuple(dmg2), uv, ue) + key[5:]
-            _update(table, key2, cost, u_mask, d_mask)
+        x = key[0]
+        if x & v_bit:
+            _update(table, (x & ~v_bit,) + key[1:], *ent)
             continue
         # v kept: its final degree is fixed now
-        pos = bisect_left(kept_before, v)
-        l_mask = 0
-        l_count = 0
-        bumps = []
-        for e, u, _ub in v_edges:
-            if (y >> e) & 1:
-                l_mask |= 1 << e
-                l_count += 1
-                bumps.append(u)
-        deleted_nbrs = bin(ctx.adj[v] & x).count("1")
-        if ctx.delta[v] != ctx.deg[v] - deleted_nbrs - l_count - dmg[pos]:
+        loss = key[2]
+        pos = (below_v & ~x).bit_count()
+        if loss[pos] != need:
             continue
-        dmg2 = list(dmg[:pos] + dmg[pos + 1:])
-        kept_after = kept_before[:pos] + kept_before[pos + 1:]
-        ok = True
-        for u in bumps:
-            i = kept_after.index(u)
-            dmg2[i] += 1
-            if dmg2[i] > ctx.span:
-                ok = False
-                break
-        if not ok:
-            continue
+        key2 = (x, key[1] & ~v_edges, loss[:pos] + loss[pos + 1:], key[3], key[4])
         if ctx.connected:
             blocks, closed = key[5], key[6]
             mine = blocks[pos]
@@ -291,39 +304,45 @@ def _forget(ctx: _Ctx, node: int, child: dict) -> dict:
                 if rest:
                     continue  # a bag-less component beside open blocks
                 closed = True
-            key2 = (x, y & ~l_mask, tuple(dmg2), uv, ue,
-                    _relabel(rest), closed)
-        else:
-            key2 = (x, y & ~l_mask, tuple(dmg2), uv, ue)
-        _update(table, key2, cost, u_mask, d_mask)
+            key2 += (_relabel(rest), closed)
+        _update(table, key2, *ent)
     return table
+
+
+def _bag_terms(ctx: _Ctx, bag: tuple[int, ...], x: int, y: int) -> tuple:
+    """What both sides of a join count for bag choices (x, y): vertex and
+    edge weight, their cost, the kept vertices and the loss each takes
+    inside the bag."""
+    kept = _kept(bag, x)
+    lost = {u: (ctx.adj[u] & x).bit_count() for u in kept}
+    for e in _bits(y):
+        a, b = ctx.edges[e]
+        lost[ctx.idx[a]] += 1
+        lost[ctx.idx[b]] += 1
+    return (sum(ctx.wv[i] for i in _bits(x)), sum(ctx.we[i] for i in _bits(y)),
+            sum(ctx.cv[i] for i in _bits(x)) + sum(ctx.ce[i] for i in _bits(y)),
+            kept, tuple(lost[u] for u in kept))
 
 
 def _join(ctx: _Ctx, node: int, left: dict, right: dict) -> dict:
     inst = ctx.inst
     bag = ctx.bag_idx[node]
+    cap = ctx.cap
     groups: dict[tuple[int, int], list] = {}
     for key, ent in right.items():
         groups.setdefault((key[0], key[1]), []).append((key, ent))
     table: dict = {}
-    xw_cache: dict[int, tuple[int, int]] = {}
-    yw_cache: dict[int, tuple[int, int]] = {}
+    bag_cache: dict[tuple[int, int], tuple] = {}
     for keyl, entl in left.items():
-        x, y = keyl[0], keyl[1]
-        partners = groups.get((x, y))
+        xy = keyl[:2]
+        partners = groups.get(xy)
         if not partners:
             continue
-        if x not in xw_cache:
-            xw_cache[x] = (sum(ctx.wv[i] for i in _bits(x)),
-                           sum(ctx.cv[i] for i in _bits(x)))
-        if y not in yw_cache:
-            yw_cache[y] = (sum(ctx.we[i] for i in _bits(y)),
-                           sum(ctx.ce[i] for i in _bits(y)))
-        xw, xc = xw_cache[x]
-        yw, yc = yw_cache[y]
-        dmgl, uvl, uel = keyl[2], keyl[3], keyl[4]
+        if xy not in bag_cache:
+            bag_cache[xy] = _bag_terms(ctx, bag, *xy)
+        xw, yw, xyc, kept, shared = bag_cache[xy]
+        lossl, uvl, uel = keyl[2], keyl[3], keyl[4]
         costl, uml, dml = entl
-        kept = _kept(bag, x)
         for keyr, entr in partners:
             uv2 = uvl + keyr[3] - xw
             if uv2 > inst.k_v:
@@ -331,9 +350,8 @@ def _join(ctx: _Ctx, node: int, left: dict, right: dict) -> dict:
             ue2 = uel + keyr[4] - yw
             if ue2 > inst.k_e:
                 continue
-            dmgr = keyr[2]
-            dmg2 = tuple(a + b for a, b in zip(dmgl, dmgr))
-            if any(d > ctx.span for d in dmg2):
+            loss2 = tuple(a + b - c for a, b, c in zip(lossl, keyr[2], shared))
+            if any(l > cap[u] for l, u in zip(loss2, kept)):
                 continue
             if ctx.connected:
                 if keyl[6] and keyr[6]:
@@ -356,12 +374,12 @@ def _join(ctx: _Ctx, node: int, left: dict, right: dict) -> dict:
                                 parent[rb] = ra
                         else:
                             first[lab] = i
-                key2 = (x, y, dmg2, uv2, ue2,
+                key2 = (xy[0], xy[1], loss2, uv2, ue2,
                         _relabel([find(i) for i in range(len(kept))]), closed)
             else:
-                key2 = (x, y, dmg2, uv2, ue2)
+                key2 = (xy[0], xy[1], loss2, uv2, ue2)
             costr, umr, dmr = entr
-            _update(table, key2, costl + costr - xc - yc, uml | umr, dml | dmr)
+            _update(table, key2, costl + costr - xyc, uml | umr, dml | dmr)
     return table
 
 

@@ -103,6 +103,16 @@ def test_usage_error_exit_code(capsys):
     assert run_cli(["frobnicate"], capsys)[0] == 1
 
 
+def test_negative_width_cap_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "tri.deg"
+    f.write_text(TRIANGLE)
+    code, out, err = run_cli(
+        ["solve", "--input", str(f), "--width-cap", "-5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--width-cap" in err
+
+
 def test_capacity_exit_code(tmp_path, capsys):
     # a wide grid defeats the solver caps: width above the cap and too big
     # for brute force

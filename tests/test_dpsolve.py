@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from degedit.dpsolve import (PreparedSolve, process_node, solve_auto,
                              solve_dcpggd_tw, solve_dpggd_tw)
 from degedit.instance import CONNECTED, PLAIN, check_solution, is_efficient
+from degedit.io import format_solution
 from degedit.oracle import brute_force_min_cost
 from degedit.treewidth import JOIN, TreeDecomposition, decompose, to_nice
 
@@ -107,13 +109,11 @@ def test_process_node_introduce_charges_edge_budget():
         assert k[4] == inst.weight_e[(1, 2)]  # spent edge weight
 
 
-def test_dp_matches_oracle_small_corpus():
+def _oracle_mismatches(corpus, enforce_window=True):
     mism = []
-    for inst in random_corpus(150, 77_000, n_hi=9):
-        if not inst.in_degree_window():
-            continue
+    for inst in corpus:
         rep = brute_force_min_cost(inst)
-        sol = solve_auto(inst)
+        sol = solve_auto(inst, enforce_window=enforce_window)
         if rep.feasible != (sol is not None):
             mism.append((inst, rep.feasible, sol))
         elif rep.feasible and rep.min_cost != sol.total_cost:
@@ -121,7 +121,60 @@ def test_dp_matches_oracle_small_corpus():
         if sol is not None:
             assert check_solution(inst, sol).ok
             assert is_efficient(inst, sol)
+    return mism
+
+
+def test_dp_matches_oracle_small_corpus():
+    corpus = [inst for inst in random_corpus(150, 77_000, n_hi=9)
+              if inst.in_degree_window()]
+    mism = _oracle_mismatches(corpus)
     assert not mism, mism[:3]
+
+
+def _over_cap(inst):
+    # a vertex whose target exceeds its degree can only be deleted
+    return any(inst.delta[v] > inst.graph.degree(v) for v in inst.graph.vertices)
+
+
+def test_dp_matches_oracle_on_raw_targets():
+    # the CLI's path: targets outside the degree window go straight to the DP
+    corpus = random_corpus(400, 78_000, n_hi=10, raw=True)
+    for variant in (PLAIN, CONNECTED):
+        assert any(inst.variant == variant and _over_cap(inst)
+                   for inst in corpus)
+    mism = _oracle_mismatches(corpus, enforce_window=False)
+    assert not mism, mism[:3]
+
+
+def test_key_loss_matches_recount_within_cap():
+    # the third key field is each kept bag vertex's total loss so far; it
+    # must agree with the entry's own deletions and never pass the cap
+    corpus = (random_corpus(60, 79_000, n_hi=12, raw=True)
+              + random_corpus(60, 80_000, n_hi=12))
+    lossy = 0
+    for inst in corpus:
+        ctx = PreparedSolve(inst).ctx
+        ends = [(ctx.idx[a], ctx.idx[b]) for a, b in ctx.edges]
+        cap = [min(inst.k_v + inst.k_e, inst.graph.degree(v) - inst.delta[v])
+               for v in ctx.ids]
+        tables = []
+        for node in range(len(ctx.ntd)):
+            table = process_node(
+                ctx, node, [tables[c] for c in ctx.ntd.children[node]])
+            tables.append(table)
+            bag = ctx.bag_idx[node]
+            for key, (_cost, u_mask, d_mask) in table.items():
+                assert key[0] == sum(u_mask & (1 << i) for i in bag)
+                kept = [i for i in bag if not (key[0] >> i) & 1]
+                recount = tuple(
+                    (ctx.adj[i] & u_mask).bit_count()
+                    + sum(1 for j, e in enumerate(ends)
+                          if (d_mask >> j) & 1 and i in e)
+                    for i in kept)
+                assert key[2] == recount, (inst, node, key)
+                assert all(lost <= cap[i] for lost, i in zip(recount, kept))
+                lossy += any(recount)
+    assert lossy > 0
 
 
 def test_dp_handles_joins():
@@ -170,3 +223,73 @@ def test_budget_slices_match_direct_solves():
                 if direct is not None:
                     assert direct.canonical() == sliced.canonical()
                     assert direct.total_cost == sliced.total_cost
+
+
+def _planted(seed):
+    """Instance of 40-120 vertices on a stacked triangulation (treewidth at
+    most 3): survivors of a random deletion pair get their degree after it
+    as target (zero slack), up to two targets are nudged off by one, and
+    deleted vertices get arbitrary targets, some above their degree.  The
+    cost budget covers the pair."""
+    rng = random.Random(seed)
+    n = rng.randint(40, 120)
+    variant = rng.choice((PLAIN, CONNECTED))
+    faces, edges = [(1, 2, 3)], {(1, 2), (1, 3), (2, 3)}
+    for v in range(4, n + 1):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+        edges |= {(a, v), (b, v), (c, v)}
+    edges = sorted(edges)
+    if variant == PLAIN:
+        edges = [e for e in edges if rng.random() < 0.7]
+    k_v, k_e = rng.randint(0, 2), rng.randint(0, 2)
+    weight_v = {v: rng.choice((1, 1, 2)) for v in range(1, n + 1)}
+    weight_e = {e: rng.choice((1, 1, 2)) for e in edges}
+    gone = _within(range(1, n + 1), weight_v, k_v, rng)
+    live = [e for e in edges if not gone & set(e)]
+    cut = _within(live, weight_e, k_e, rng)
+    deg = {v: 0 for v in range(1, n + 1)}
+    for a, b in live:
+        if (a, b) not in cut:
+            deg[a] += 1
+            deg[b] += 1
+    delta = dict(deg)
+    for v in gone:
+        delta[v] = rng.randint(0, deg[v] + 3)
+    for v in rng.sample(range(1, n + 1), rng.randint(0, 2)):
+        delta[v] = max(0, delta[v] + rng.choice((-1, 1)))
+    cost_v = {v: rng.randint(0, 2) for v in range(1, n + 1)}
+    cost_e = {e: rng.randint(0, 2) for e in edges}
+    planted_cost = sum(cost_v[v] for v in gone) + sum(cost_e[e] for e in cut)
+    return make_instance(
+        range(1, n + 1), edges, delta, k_v, k_e,
+        planted_cost + rng.randint(0, 2), variant,
+        weight_v=weight_v, weight_e=weight_e, cost_v=cost_v, cost_e=cost_e)
+
+
+def _within(items, weight, budget, rng):
+    """Random items, taken while their weight fits the budget."""
+    chosen = set()
+    for x in rng.sample(list(items), len(items)):
+        if weight[x] <= budget:
+            chosen.add(x)
+            budget -= weight[x]
+    return chosen
+
+
+def planted_outputs():
+    return "".join(format_solution(solve_auto(_planted(606_000 + i),
+                                              enforce_window=False))
+                   for i in range(60))
+
+
+# sha256 of planted_outputs() taken from the damage-from-below DP, before
+# its keys carried total loss: the loss keys must choose the same solutions
+PLANTED_DIGEST = (
+    "65037d57de9fd1e6b431ea21f36a7de75f689b94d6ebbd1e22ce650b2d0a310b")
+
+
+def test_planted_outputs_match_pinned_digest():
+    text = planted_outputs()
+    assert text.count("s yes") >= 20 and text.count("s no") >= 10
+    assert hashlib.sha256(text.encode()).hexdigest() == PLANTED_DIGEST
