@@ -5,7 +5,7 @@ instance normalization, and polynomial kernelization for the plain and
 connected problem variants.
 """
 
-from .graph import Graph, apply_edit, edge_key, is_planar
+from .graph import Graph, edge_key, is_planar
 from .instance import (CONNECTED, PLAIN, Instance, Solution, check_solution,
                        is_efficient)
 
@@ -13,5 +13,5 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "Instance", "Solution", "PLAIN", "CONNECTED",
-    "apply_edit", "check_solution", "edge_key", "is_efficient", "is_planar",
+    "check_solution", "edge_key", "is_efficient", "is_planar",
 ]

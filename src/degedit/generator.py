@@ -42,6 +42,8 @@ def generate_random_planar_instance(n: int, k_v: int, k_e: int, cost_budget: int
     """Deterministic-for-seed random instance on a random planar graph."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    if k_v < 0 or k_e < 0 or cost_budget < 0:
+        raise ValueError("budgets must be non-negative")
     if variant not in (PLAIN, CONNECTED):
         raise ValueError(f"unknown variant: {variant!r}")
     rng = random.Random(seed)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
     """Canonical form of the undirected edge between u and v."""
@@ -195,121 +193,210 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def apply_edit(g: Graph, edit: tuple) -> Graph:
-    """Apply a single edit described as a tagged tuple.
-
-    Supported forms:
-      ("delete-vertex", v)
-      ("delete-edge", u, v)
-      ("contract-edge", u, v)
-      ("add-vertex", v, neighbors)
-    """
-    kind = edit[0]
-    if kind == "delete-vertex":
-        return g.delete_vertex(edit[1])
-    if kind == "delete-edge":
-        return g.delete_edge(edit[1], edit[2])
-    if kind == "contract-edge":
-        return g.contract_edge(edit[1], edit[2])[0]
-    if kind == "add-vertex":
-        return g.add_vertex(edit[1], edit[2])
-    raise ValueError(f"unknown edit kind: {kind!r}")
-
-
 # -- planarity ---------------------------------------------------------------
 
 
-def _to_nx(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(g.sorted_vertices())
-    h.add_edges_from(g.edges())
-    return h
-
-
 def is_planar(g: Graph) -> bool:
-    """Whether the graph admits a planar embedding."""
-    if g.n <= 4:
-        return True
-    ok, _ = nx.check_planarity(_to_nx(g), counterexample=False)
-    return ok
+    """Whether the graph admits a planar embedding.
 
-
-def planarity_certificate(g: Graph) -> tuple[bool, object]:
-    """Planarity verdict together with a checkable certificate.
-
-    For a planar graph the certificate is a combinatorial embedding; for a
-    non-planar one it is a Kuratowski subgraph.  ``verify_certificate``
-    validates either without re-running the planarity test.
+    Brandes' left-right planarity test ("The Left-Right Planarity Test",
+    2009), test phase only: it decides planarity without building an
+    embedding.  Both depth-first passes keep explicit stacks, so the depth
+    of the graph is not limited by the interpreter's recursion limit.
     """
-    ok, cert = nx.check_planarity(_to_nx(g), counterexample=True)
-    return ok, cert
-
-
-def verify_certificate(g: Graph, ok: bool, cert: object) -> bool:
-    """Independently validate the output of ``planarity_certificate``."""
-    if ok:
-        return _verify_embedding(g, cert)
-    return _verify_kuratowski(g, cert)
-
-
-def _verify_embedding(g: Graph, emb) -> bool:
-    # Euler's formula per connected component: v - e + f = 2, where face
-    # traversals of the rotation system count every face of a component
-    # that has at least one edge (edgeless components bound no walk).
-    if set(emb.nodes()) != set(g.vertices):
+    adj = g._adj
+    n = len(adj)
+    if n <= 4:
+        return True
+    if g.m > 3 * n - 6:
         return False
-    if {edge_key(u, v) for u, v in emb.edges()} != g.edge_set():
-        return False
-    half_edges = {(u, v) for u in g.sorted_vertices() for v in g.neighbors(u)}
-    faces = 0
-    marked: set[tuple[int, int]] = set()
-    for he in sorted(half_edges):
-        if he in marked:
+    index = {v: i for i, v in enumerate(adj)}
+    return _lr_test([[index[u] for u in ns] for ns in adj.values()])
+
+
+def _lr_test(nbrs: list[list[int]]) -> bool:
+    """LR partition test on vertices 0..n-1 with the given adjacency lists.
+
+    Only state that the test itself reads is kept.  ``side``,
+    ``lowpt_edge`` and the ``ref`` links that only sign an edge for the
+    embedding (those of tree edges, aligned pairs and emptied intervals)
+    are left out.
+    """
+    n = len(nbrs)
+    # Orientation: a DFS directs every edge away from the root (tree
+    # edges) or towards an ancestor (back edges).  Edge ids are assigned
+    # in discovery order, so every edge out of v comes after the tree edge
+    # into v.
+    height = [-1] * n
+    parent_edge = [-1] * n
+    src: list[int] = []
+    dst: list[int] = []
+    lowpt: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n)]
+    pos = [0] * n
+    for root in range(n):
+        if height[root] >= 0:
             continue
-        faces += 1
-        emb.traverse_face(*he, mark_half_edges=marked)
-    expected = 0
-    for comp in g.components():
-        sub = g.subgraph(comp)
-        if sub.m >= 1:
-            expected += 2 - sub.n + sub.m
-    return faces == expected
+        height[root] = 0
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            hv = height[v]
+            nv = nbrs[v]
+            i = pos[v]
+            while i < len(nv):
+                w = nv[i]
+                i += 1
+                hw = height[w]
+                if hw < 0 or hw < hv - 1:
+                    out[v].append(len(src))
+                    src.append(v)
+                    dst.append(w)
+                    if hw < 0:
+                        parent_edge[w] = len(src) - 1
+                        height[w] = hv + 1
+                        lowpt.append(hv)
+                        stack.append(w)
+                        break
+                    lowpt.append(hw)
+                # hw == hv - 1 is the tree edge from the parent; hw > hv is
+                # a back edge that the descendant w has already oriented.
+            else:
+                stack.pop()
+            pos[v] = i
+    m = len(src)
+    lowpt2 = [height[v] for v in src]
+    # Lowest and second-lowest return points, children before parents.
+    for e in range(m - 1, -1, -1):
+        pe = parent_edge[src[e]]
+        if pe < 0:
+            continue
+        low, up = lowpt[e], lowpt[pe]
+        if low < up:
+            lowpt2[pe] = min(up, lowpt2[e])
+            lowpt[pe] = low
+        elif low > up:
+            lowpt2[pe] = min(lowpt2[pe], low)
+        else:
+            lowpt2[pe] = min(lowpt2[pe], lowpt2[e])
+    nesting = [2 * lowpt[e] + (lowpt2[e] < height[src[e]]) for e in range(m)]
+    for edges in out:
+        edges.sort(key=nesting.__getitem__)
 
+    # Testing: a conflict pair is [left.low, left.high, right.low,
+    # right.high], each interval a chain of back edges linked through
+    # ``ref`` from high to low, or (None, None) when empty.
+    stack_pairs: list[list] = []
+    bottom = [0] * m        # stack height when the edge was entered
+    ref: list[int | None] = [None] * m
 
-def _verify_kuratowski(g: Graph, sub) -> bool:
-    # The counterexample must be a subgraph whose degree-2 suppression is
-    # K5 or K3,3.
-    edges = {edge_key(u, v) for u, v in sub.edges()}
-    if not edges <= g.edge_set():
-        return False
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    branch = sorted(v for v, ns in adj.items() if len(ns) != 2)
-    if any(len(adj[v]) < 3 for v in branch):
-        return False
-    # Walk the degree-2 chains between branch vertices.
-    links: set[tuple[int, int]] = set()
-    for s in branch:
-        for first in adj[s]:
-            prev, cur = s, first
-            while cur not in branch:
-                nxt = next(iter(adj[cur] - {prev}))
-                prev, cur = cur, nxt
-            if s != cur:
-                links.add(edge_key(s, cur))
-    if len(branch) == 5:
-        return len(links) == 10
-    if len(branch) == 6:
-        if len(links) != 9:
-            return False
-        first = branch[0]
-        other = {v for v in branch if v != first and edge_key(first, v) in links}
-        side = {v for v in branch if v not in other}
-        return len(side) == 3 and len(other) == 3 and all(
-            edge_key(a, b) in links for a in side for b in other)
-    return False
+    def add_constraints(ei: int, e: int) -> bool:
+        pair = [None, None, None, None]
+        # Merge the return edges of ei into the right interval.
+        while True:
+            q = stack_pairs.pop()
+            if q[0] is not None:
+                if q[2] is not None:
+                    return False
+                q = [q[2], q[3], q[0], q[1]]
+            if lowpt[q[2]] > lowpt[e]:
+                if pair[2] is None:
+                    pair[3] = q[3]
+                else:
+                    ref[pair[2]] = q[3]
+                pair[2] = q[2]
+            # else q returns exactly to lowpt(e): aligned with the lowest
+            # return edge of e, it constrains nothing above and is dropped.
+            if len(stack_pairs) == bottom[ei]:
+                break
+        # Merge the conflicting return edges of earlier siblings into the
+        # left interval.  An interval conflicts with ei when its highest
+        # return edge returns above lowpt(ei).
+        low = lowpt[ei]
+        while stack_pairs:
+            q = stack_pairs[-1]
+            left = q[1] is not None and lowpt[q[1]] > low
+            right = q[3] is not None and lowpt[q[3]] > low
+            if not (left or right):
+                break
+            stack_pairs.pop()
+            if right:
+                if left:
+                    return False
+                q = [q[2], q[3], q[0], q[1]]
+            if pair[2] is not None:
+                ref[pair[2]] = q[3]
+            if q[2] is not None:
+                pair[2] = q[2]
+            if pair[0] is None:
+                pair[1] = q[1]
+            else:
+                ref[pair[0]] = q[1]
+            pair[0] = q[0]
+        if pair[0] is not None or pair[2] is not None:
+            stack_pairs.append(pair)
+        return True
+
+    def remove_back_edges(e: int) -> None:
+        u = src[e]
+        hu = height[u]
+        # Drop whole pairs whose lowest return edge ends at u.
+        while stack_pairs:
+            ll, _, rl, _ = stack_pairs[-1]
+            lowest = lowpt[rl] if ll is None else (
+                lowpt[ll] if rl is None else min(lowpt[ll], lowpt[rl]))
+            if lowest != hu:
+                break
+            stack_pairs.pop()
+        if stack_pairs:
+            # Trim back edges ending at u from the top of both intervals.
+            pair = stack_pairs[-1]
+            for lo, hi in ((0, 1), (2, 3)):
+                high = pair[hi]
+                while high is not None and dst[high] == u:
+                    high = ref[high]
+                pair[hi] = high
+                if high is None:
+                    pair[lo] = None
+
+    def integrate(v: int, i: int, ei: int) -> bool:
+        # Return edges of a later sibling must be placed against those of
+        # the edges before it; the first edge sets no constraint.
+        if i == 0 or lowpt[ei] >= height[v]:
+            return True
+        return add_constraints(ei, parent_edge[v])
+
+    pos = [0] * n
+    for root in range(n):
+        if height[root]:
+            continue
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            edges = out[v]
+            i = pos[v]
+            while i < len(edges):
+                ei = edges[i]
+                bottom[ei] = len(stack_pairs)
+                if parent_edge[dst[ei]] == ei:
+                    break
+                stack_pairs.append([None, None, ei, ei])
+                if not integrate(v, i, ei):
+                    return False
+                i += 1
+            pos[v] = i
+            if i < len(edges):
+                stack.append(dst[edges[i]])
+                continue
+            stack.pop()
+            e = parent_edge[v]
+            if e >= 0:
+                remove_back_edges(e)
+                u = src[e]
+                if not integrate(u, pos[u], e):
+                    return False
+                pos[u] += 1
+    return True
 
 
 def verify_bipartite_planar_bound(g: Graph, v1: Iterable[int], v2: Iterable[int]) -> bool:

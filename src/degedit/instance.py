@@ -234,10 +234,3 @@ def is_efficient(inst: Instance, sol: Solution) -> bool:
     """True iff no deleted edge touches a deleted vertex."""
     u = sol.deleted_vertices
     return all(a not in u and b not in u for a, b in sol.deleted_edges)
-
-
-def efficient_counterpart(inst: Instance, sol: Solution) -> Solution:
-    """Drop deleted edges incident to deleted vertices; never raises cost."""
-    u = sol.deleted_vertices
-    d = frozenset(e for e in sol.deleted_edges if e[0] not in u and e[1] not in u)
-    return Solution(u, d, inst.cost_of(u, d))

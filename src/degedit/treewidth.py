@@ -1,4 +1,4 @@
-"""Tree decompositions: construction, nice form, validation, PACE text format.
+"""Tree decompositions: construction, nice form and validation.
 
 ``decompose`` offers two modes.  The heuristic eliminates in min-degree
 order; downstream correctness never depends on width optimality, only
@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CapacityError, ParseError
+from .errors import CapacityError
 from .graph import Graph
 
 LEAF = "leaf"
@@ -443,53 +443,3 @@ def to_nice(td: TreeDecomposition, g: Graph | None = None) -> NiceTreeDecomposit
     top = done[root]
     b.chain(top, td.bags[root], frozenset())
     return b.build()
-
-
-# -- PACE-style text format ---------------------------------------------------
-
-
-def write_pace(td: TreeDecomposition, n_vertices: int) -> str:
-    lines = [f"s td {len(td.bags)} {max((len(b) for b in td.bags), default=0)} "
-             f"{n_vertices}"]
-    for i, bag in enumerate(td.bags, 1):
-        lines.append("b " + " ".join([str(i)] + [str(v) for v in sorted(bag)]))
-    for a, c in sorted(td.tree_edges):
-        lines.append(f"{a + 1} {c + 1}")
-    return "\n".join(lines) + "\n"
-
-
-def read_pace(text: str) -> TreeDecomposition:
-    header = None
-    bags: dict[int, frozenset[int]] = {}
-    edges: set[tuple[int, int]] = set()
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "s":
-            if header is not None:
-                raise ParseError("duplicate solution line", no)
-            if len(parts) != 5 or parts[1] != "td":
-                raise ParseError("solution line must be 's td bags width+1 n'", no)
-            header = tuple(int(x) for x in parts[2:])
-        elif parts[0] == "b":
-            if header is None:
-                raise ParseError("bag line before solution line", no)
-            idx = int(parts[1])
-            if idx in bags:
-                raise ParseError(f"duplicate bag {idx}", no)
-            bags[idx] = frozenset(int(x) for x in parts[2:])
-        else:
-            if header is None:
-                raise ParseError("edge line before solution line", no)
-            a, c = int(parts[0]), int(parts[1])
-            edges.add(tuple(sorted((a, c))))
-    if header is None:
-        raise ParseError("missing 's td' line")
-    n_bags = header[0]
-    if set(bags) != set(range(1, n_bags + 1)):
-        raise ParseError(f"expected bags 1..{n_bags}")
-    return TreeDecomposition(
-        tuple(bags[i] for i in range(1, n_bags + 1)),
-        frozenset((a - 1, c - 1) for a, c in edges))

@@ -113,6 +113,14 @@ def test_negative_width_cap_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and "--width-cap" in err
 
 
+def test_gen_rejects_negative_budgets(capsys):
+    for flag in ("--kv", "--ke", "--cost-budget"):
+        code, out, err = run_cli(["gen", "--n", "5", flag, "-2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: budgets must be non-negative\n"
+
+
 def test_capacity_exit_code(tmp_path, capsys):
     # a wide grid defeats the solver caps: width above the cap and too big
     # for brute force

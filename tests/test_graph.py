@@ -1,11 +1,11 @@
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degedit.generator import random_planar_graph
-from degedit.graph import (Graph, apply_edit, edge_key, is_planar,
-                           planarity_certificate, verify_bipartite_planar_bound,
-                           verify_certificate)
+from degedit.graph import Graph, edge_key, is_planar, verify_bipartite_planar_bound
 
 
 def k(n):
@@ -43,19 +43,6 @@ def test_delete_edge_from_cycle():
     assert h.degree(1) == h.degree(2) == 1
 
 
-def test_apply_edit_dispatch_and_errors():
-    g = Graph([1, 2], [(1, 2)])
-    assert apply_edit(g, ("delete-vertex", 1)).vertices == {2}
-    assert apply_edit(g, ("delete-edge", 1, 2)).m == 0
-    assert apply_edit(g, ("add-vertex", 5, [1])).has_edge(1, 5)
-    with pytest.raises(ValueError):
-        apply_edit(g, ("delete-vertex", 9))
-    with pytest.raises(ValueError):
-        apply_edit(g, ("delete-edge", 1, 9))
-    with pytest.raises(ValueError):
-        apply_edit(g, ("frobnicate", 1))
-
-
 def test_contraction_never_creates_loops_or_parallels(rng):
     for trial in range(50):
         g = random_planar_graph(rng.randint(3, 10), rng)
@@ -79,15 +66,104 @@ def test_planarity_basics():
     assert is_planar(Graph(range(1, 7), edges[1:]))
 
 
-def test_planarity_certificates_verify(rng):
-    graphs = [k(4), k(5), Graph(), Graph([1, 2, 3], [])]
-    left, right = [1, 2, 3], [4, 5, 6]
-    graphs.append(Graph(range(1, 7), [(a, b) for a in left for b in right]))
-    for _ in range(40):
-        graphs.append(random_planar_graph(rng.randint(1, 12), rng))
+def _relabel(g, rng):
+    """The same graph on shuffled, non-contiguous vertex ids."""
+    old = g.sorted_vertices()
+    ids = rng.sample(range(1, 3 * len(old) + 2), len(old))
+    to = dict(zip(old, ids))
+    return Graph(ids, [(to[u], to[v]) for u, v in g.edges()])
+
+
+def _union(graphs):
+    vs, es, base = [], [], 0
     for g in graphs:
-        ok, cert = planarity_certificate(g)
-        assert verify_certificate(g, ok, cert), f"bad certificate for {g!r}"
+        to = {v: base + i for i, v in enumerate(g.sorted_vertices())}
+        vs += to.values()
+        es += [(to[u], to[v]) for u, v in g.edges()]
+        base += g.n
+    return Graph(vs, es)
+
+
+def _subdivided_kuratowski(rng):
+    """K5 or K3,3 with random subdivisions and planar trees hung on it."""
+    if rng.random() < 0.5:
+        base = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    else:
+        base = [(a, b) for a in range(3) for b in range(3, 6)]
+    es, nxt = [], 6
+    for a, b in base:
+        path = [a] + list(range(nxt, nxt + rng.randint(0, 2))) + [b]
+        nxt += len(path) - 2
+        es += zip(path, path[1:])
+    vs = {v for e in es for v in e}
+    for _ in range(rng.randint(0, 8)):
+        es.append((rng.choice(sorted(vs)), nxt))
+        vs.add(nxt)
+        nxt += 1
+    return Graph(vs, es)
+
+
+def _planarity_corpus(rng):
+    for n in range(15):
+        for p in (0.15, 0.3, 0.45, 0.6, 0.8):
+            for _ in range(30):
+                vs = range(n)
+                yield Graph(vs, [(a, b) for a in vs for b in vs
+                                 if a < b and rng.random() < p])
+    for _ in range(600):
+        n = rng.randint(3, 40)
+        tri = random_planar_graph(n, rng, keep_prob=1.0)
+        es = set(tri.edges())
+        for _ in range(rng.randint(0, 5)):
+            es.add(edge_key(*rng.sample(range(1, n + 1), 2)))
+        yield _relabel(Graph(tri.vertices, es), rng)
+    for _ in range(400):
+        yield _relabel(_subdivided_kuratowski(rng), rng)
+    for _ in range(300):
+        parts = [random_planar_graph(rng.randint(1, 15), rng) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            parts.append(_subdivided_kuratowski(rng))
+        rng.shuffle(parts)
+        yield _relabel(_union(parts), rng)
+
+
+def test_is_planar_matches_networkx():
+    verdicts = []
+    for g in _planarity_corpus(random.Random(2009)):
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(g.edges())
+        expected, _ = nx.check_planarity(h)
+        assert is_planar(g) == expected, f"{sorted(g.vertices)} {list(g.edges())}"
+        verdicts.append(expected)
+    assert verdicts.count(False) > 1000 and verdicts.count(True) > 1000
+
+
+def test_is_planar_deep_dfs():
+    n = 20_000
+    assert is_planar(Graph(range(n), [(i, i + 1) for i in range(n - 1)]))
+    side = 100
+    grid = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    grid += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    assert is_planar(Graph(range(side * side), grid))
+
+
+@st.composite
+def graphs_and_relabellings(draw):
+    n = draw(st.integers(5, 11))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n))
+    ids = draw(st.permutations(range(100, 100 + 2 * n)))[:n]
+    return n, edges, ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_relabellings())
+def test_is_planar_invariant_under_relabelling(case):
+    n, edges, ids = case
+    g = Graph(range(n), edges)
+    h = Graph(ids, [(ids[a], ids[b]) for a, b in edges])
+    assert is_planar(g) == is_planar(h)
 
 
 def test_planarity_preserved_by_edits(rng):

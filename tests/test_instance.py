@@ -2,8 +2,7 @@ from itertools import chain, combinations
 
 import pytest
 
-from degedit.instance import (CONNECTED, Instance, Solution, check_solution,
-                              efficient_counterpart, is_efficient)
+from degedit.instance import CONNECTED, Instance, Solution, check_solution, is_efficient
 
 from conftest import cycle_instance, make_instance, path_instance
 
@@ -55,15 +54,6 @@ def test_is_efficient():
     assert is_efficient(inst, Solution.of(inst, [1], [(2, 3)]))
     assert not is_efficient(inst, Solution.of(inst, [2], [(2, 3)]))
     assert is_efficient(inst, Solution.of(inst, (), [(1, 2), (2, 3)]))
-
-
-def test_efficient_counterpart_never_raises_cost():
-    inst = path_instance(4, 0, k_v=4, k_e=4, cost_budget=99)
-    sol = Solution.of(inst, [2], [(1, 2), (3, 4)])
-    eff = efficient_counterpart(inst, sol)
-    assert is_efficient(inst, eff)
-    assert eff.total_cost <= sol.total_cost
-    assert eff.deleted_edges == {(3, 4)}
 
 
 def test_instance_validation_rejects_bad_weights():

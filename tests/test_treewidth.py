@@ -9,8 +9,7 @@ from degedit.graph import Graph
 from degedit.treewidth import (EXACT_CAP, FORGET, INTRODUCE, JOIN, LEAF,
                                NiceTreeDecomposition, TreeDecomposition,
                                decompose, exact_treewidth,
-                               from_elimination_order, read_pace, to_nice,
-                               validate, write_pace)
+                               from_elimination_order, to_nice, validate)
 
 from conftest import cycle_instance
 
@@ -137,14 +136,3 @@ def test_joins_appear_on_branching_graphs():
     ntd = to_nice(decompose(g), g)
     assert JOIN in ntd.kinds
     assert validate(g, ntd)
-
-
-def test_pace_round_trip(rng):
-    for trial in range(20):
-        g = random_planar_graph(rng.randint(1, 9), rng)
-        td = decompose(g)
-        text = write_pace(td, g.n)
-        back = read_pace(text)
-        assert back.bags == td.bags
-        assert back.tree_edges == td.tree_edges
-        assert validate(g, back)
