@@ -33,8 +33,9 @@ def _read_instance(path: str):
 
 
 def _solve_with(inst, method: str, width_cap: int) -> Solution | None:
-    # the DP validates the nice decomposition it reads against the graph,
-    # so to_nice only checks the tree structure here
+    # solve_auto validates the nice decomposition against the graph before
+    # its DP reads it, so in both DP branches to_nice, given no graph, only
+    # checks the tree structure of the decomposition
     if method == "dp":
         ntd = to_nice(decompose(inst.graph))
         return solve_auto(inst, ntd, enforce_window=False)

@@ -33,6 +33,13 @@ agree, and the mask holding that bit sorts first exactly when the other
 mask has a higher bit (otherwise the other is a proper prefix).  Sorted
 ids and edge pairs are built once, for the chosen root entry only.
 Per-node work touches only the node's bag.
+
+No table may hold more keys than its node's key space (``_key_bound``):
+(k_v + 1)(k_e + 1) spent-weight pairs, times 2^|bag| deleted-vertex sets,
+times factors for the deleted bag edges, the losses and, in the connected
+variant, the partitions, each at least one.  So
+``(k_v + 1)(k_e + 1) << |bag|`` is a floor of the bound, and ``_guard``
+computes the bound itself only for a table above that floor.
 """
 
 from __future__ import annotations
@@ -62,21 +69,45 @@ class _Ctx:
     connected: bool
     bag_idx: list[tuple[int, ...]]      # node -> sorted bag (as indices)
     incident: list[list[tuple[int, int, int]]]  # node -> (edge_no, other, bit)
-    key_bound: list[int]                # node -> size of its key space
 
 
 def _prepare(inst: Instance, ntd: NiceTreeDecomposition) -> _Ctx:
-    ids = inst.graph.sorted_vertices()
+    g = inst.graph
+    ids = g.sorted_vertices()
     idx = {v: i for i, v in enumerate(ids)}
     adj = [0] * len(ids)
-    for v in ids:
-        for u in inst.graph.neighbors(v):
-            adj[idx[v]] |= 1 << idx[u]
-    edges = sorted(inst.graph.edges())
+    for i, v in enumerate(ids):
+        for u in g.neighbors(v):
+            adj[i] |= 1 << idx[u]
+    edges = list(g.edges())  # already in lex order
     eno = {(idx[a], idx[b]): i for i, (a, b) in enumerate(edges)}
-    slack = [inst.graph.degree(v) - inst.delta[v] for v in ids]
+    slack = [g.degree(v) - inst.delta[v] for v in ids]
     span = inst.k_v + inst.k_e
-    ctx = _Ctx(
+    # each bag follows from its child's: an introduce inserts one index, a
+    # forget drops one, a join shares it; the edges an introduce or forget
+    # touches run from its vertex into the child's bag
+    bag_idx: list[tuple[int, ...]] = []
+    incident: list[list[tuple[int, int, int]]] = []
+    children, vertex = ntd.children, ntd.vertex
+    for node, kind in enumerate(ntd.kinds):
+        inc: list[tuple[int, int, int]] = []
+        if kind == LEAF:
+            bag: tuple[int, ...] = ()
+        elif kind == JOIN:
+            bag = bag_idx[children[node][0]]
+        else:
+            below = bag_idx[children[node][0]]
+            v = idx[vertex[node]]
+            pos = bisect_left(below, v)
+            bag = below[:pos] + (v,) + below[pos:] if kind == INTRODUCE \
+                else below[:pos] + below[pos + 1:]
+            adj_v = adj[v]
+            for u in below:
+                if u != v and (adj_v >> u) & 1:
+                    inc.append((eno[(u, v) if u < v else (v, u)], u, 1 << u))
+        bag_idx.append(bag)
+        incident.append(inc)
+    return _Ctx(
         inst=inst, ntd=ntd, ids=ids, idx=idx, adj=adj, slack=slack,
         wv=[inst.weight_v[v] for v in ids],
         cv=[inst.cost_v[v] for v in ids],
@@ -85,22 +116,7 @@ def _prepare(inst: Instance, ntd: NiceTreeDecomposition) -> _Ctx:
         ce=[inst.cost_e[e] for e in edges],
         cap=[min(span, s) for s in slack],
         connected=inst.connected_variant,
-        bag_idx=[], incident=[], key_bound=[])
-    for node in range(len(ntd)):
-        bag = tuple(sorted(idx[v] for v in ntd.bags[node]))
-        ctx.bag_idx.append(bag)
-        ctx.key_bound.append(_key_bound(ctx, bag))
-        inc: list[tuple[int, int, int]] = []
-        if ntd.kinds[node] in (INTRODUCE, FORGET) and ntd.vertex[node] is not None:
-            v = idx[ntd.vertex[node]]
-            others = bag if ntd.kinds[node] == INTRODUCE else \
-                ctx.bag_idx[ntd.children[node][0]]
-            for u in others:
-                if u != v and (adj[v] >> u) & 1:
-                    key = (u, v) if u < v else (v, u)
-                    inc.append((eno[key], u, 1 << u))
-        ctx.incident.append(inc)
-    return ctx
+        bag_idx=bag_idx, incident=incident)
 
 
 def _bits(mask: int):
@@ -174,7 +190,10 @@ def _key_bound(ctx: _Ctx, bag: tuple[int, ...]) -> int:
 
 
 def _guard(ctx: _Ctx, node: int, table: dict) -> None:
-    bound = ctx.key_bound[node]
+    bag = ctx.bag_idx[node]
+    if len(table) <= (ctx.inst.k_v + 1) * (ctx.inst.k_e + 1) << len(bag):
+        return
+    bound = _key_bound(ctx, bag)
     if len(table) > bound:
         raise RuntimeError(
             f"table at node {node} has {len(table)} keys, bound {bound}")
@@ -193,7 +212,7 @@ def process_node(ctx: _Ctx, node: int, child_tables: list[dict]) -> dict:
     elif kind == JOIN:
         table = _join(ctx, node, child_tables[0], child_tables[1])
     else:
-        raise AssertionError(f"unknown node kind {kind!r}")
+        raise RuntimeError(f"unknown node kind {kind!r}")
     _guard(ctx, node, table)
     return table
 

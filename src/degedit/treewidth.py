@@ -5,6 +5,17 @@ order; downstream correctness never depends on width optimality, only
 running time does.  ``exact-small`` determines the true treewidth by
 iterative deepening over elimination orders with memoized failure states,
 bounded above by the min-degree width, and is refused above a size cap.
+
+``validate`` decides conditions (i)-(iii) of a nice decomposition in one
+pass over its forget nodes, with no search per vertex.  Once the shape
+holds (each node's bag follows from its children's, and the root bag is
+empty), a vertex leaves the bags on the way up only at a forget of itself,
+so the bags holding x form one subtree per forget of x, topped by that
+forget's child.  Hence the bag union is the set of forgotten vertices
+(condition (i)), and x spans a connected set of bags exactly when it is
+forgotten once (condition (iii)).  Two subtrees of a rooted tree meet only
+if the top of one lies in the other, so edge uv shares a bag exactly when
+some top bag of u holds v or some top bag of v holds u (condition (ii)).
 """
 
 from __future__ import annotations
@@ -224,7 +235,7 @@ def _exact_order(g: Graph, width: int) -> list[int]:
                 adj = sub
                 break
         else:
-            raise AssertionError("no elimination extends a feasible prefix")
+            raise RuntimeError("no elimination extends a feasible prefix")
     return order
 
 
@@ -272,13 +283,11 @@ def validate(g: Graph, td: TreeDecomposition | NiceTreeDecomposition
         nice_verdict = _validate_nice_shape(td)
         if not nice_verdict:
             return nice_verdict
-        bags = td.bags
-        edges = _nice_tree_edges(td)
-    else:
-        bags = td.bags
-        edges = td.tree_edges
-        if not _is_tree(len(bags), edges):
-            return DecompositionVerdict(False, "tree structure invalid")
+        return _validate_nice_forgets(g, td)
+    bags = td.bags
+    edges = td.tree_edges
+    if not _is_tree(len(bags), edges):
+        return DecompositionVerdict(False, "tree structure invalid")
     holders: dict[int, list[int]] = {}  # vertex -> bags containing it, ascending
     for i, b in enumerate(bags):
         for x in b:
@@ -312,40 +321,66 @@ def validate(g: Graph, td: TreeDecomposition | NiceTreeDecomposition
     return DecompositionVerdict(True)
 
 
-def _nice_tree_edges(ntd: NiceTreeDecomposition) -> frozenset[tuple[int, int]]:
-    out = set()
-    for i, cs in enumerate(ntd.children):
-        for c in cs:
-            out.add(tuple(sorted((i, c))))
-    return frozenset(out)
+def _validate_nice_forgets(g: Graph, ntd: NiceTreeDecomposition
+                           ) -> DecompositionVerdict:
+    """Conditions (i)-(iii) of a well-shaped nice decomposition, read off
+    the bags below its forget nodes (see the module docstring)."""
+    bags, children, vertex = ntd.bags, ntd.children, ntd.vertex
+    top: dict[int, frozenset[int]] = {}     # vertex -> bag below its first forget
+    more: dict[int, list[frozenset[int]]] = {}  # ... below its later forgets
+    for i, kind in enumerate(ntd.kinds):
+        if kind == FORGET:
+            x = vertex[i]
+            if x in top:
+                more.setdefault(x, []).append(bags[children[i][0]])
+            else:
+                top[x] = bags[children[i][0]]
+    if top.keys() != g.vertices:
+        return DecompositionVerdict(
+            False, "condition (i) failed: bag union differs from vertex set")
+    for u, v in g.edges():
+        if v in top[u] or u in top[v]:
+            continue
+        if not (any(v in b for b in more.get(u, ()))
+                or any(u in b for b in more.get(v, ()))):
+            return DecompositionVerdict(
+                False, f"condition (ii) failed: edge ({u}, {v}) not in any bag")
+    for x in g.vertices:
+        if x in more:
+            return DecompositionVerdict(
+                False, f"condition (iii) failed: vertex {x} spans a "
+                       "disconnected set of bags")
+    return DecompositionVerdict(True)
 
 
 def _validate_nice_shape(ntd: NiceTreeDecomposition) -> DecompositionVerdict:
     n = len(ntd)
     if n == 0:
         return DecompositionVerdict(False, "empty decomposition")
+    bags = ntd.bags
     seen_as_child: set[int] = set()
     for i in range(n):
-        kind, bag, cs, v = ntd.kinds[i], ntd.bags[i], ntd.children[i], ntd.vertex[i]
+        kind, bag, cs, v = ntd.kinds[i], bags[i], ntd.children[i], ntd.vertex[i]
         for c in cs:
             if not c < i:
                 return DecompositionVerdict(False, "children must precede parents")
             if c in seen_as_child:
                 return DecompositionVerdict(False, f"node {c} has two parents")
             seen_as_child.add(c)
+        # lengths and subset tests pin each bag down without building it
         if kind == LEAF:
             if cs or bag:
                 return DecompositionVerdict(False, f"leaf node {i} malformed")
         elif kind == INTRODUCE:
-            if len(cs) != 1 or v is None or v in ntd.bags[cs[0]] \
-                    or bag != ntd.bags[cs[0]] | {v}:
+            if len(cs) != 1 or v is None or v in bags[cs[0]] or v not in bag \
+                    or len(bag) != len(bags[cs[0]]) + 1 or not bags[cs[0]] <= bag:
                 return DecompositionVerdict(False, f"introduce node {i} malformed")
         elif kind == FORGET:
-            if len(cs) != 1 or v is None or v not in ntd.bags[cs[0]] \
-                    or bag != ntd.bags[cs[0]] - {v}:
+            if len(cs) != 1 or v is None or v not in bags[cs[0]] or v in bag \
+                    or len(bag) != len(bags[cs[0]]) - 1 or not bag <= bags[cs[0]]:
                 return DecompositionVerdict(False, f"forget node {i} malformed")
         elif kind == JOIN:
-            if len(cs) != 2 or ntd.bags[cs[0]] != bag or ntd.bags[cs[1]] != bag:
+            if len(cs) != 2 or bags[cs[0]] != bag or bags[cs[1]] != bag:
                 return DecompositionVerdict(False, f"join node {i} malformed")
         else:
             return DecompositionVerdict(False, f"unknown node kind {kind!r}")

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from degedit.dpsolve import (PreparedSolve, process_node, solve_auto,
-                             solve_dcpggd_tw, solve_dpggd_tw)
+from degedit.dpsolve import (PreparedSolve, _guard, _key_bound, _prepare,
+                             process_node, solve_auto, solve_dcpggd_tw,
+                             solve_dpggd_tw)
 from degedit.instance import CONNECTED, PLAIN, check_solution, is_efficient
 from degedit.io import format_solution
 from degedit.oracle import brute_force_min_cost
@@ -175,6 +176,28 @@ def test_key_loss_matches_recount_within_cap():
                 assert all(lost <= cap[i] for lost, i in zip(recount, kept))
                 lossy += any(recount)
     assert lossy > 0
+
+
+class _Sized:
+    """Stands in for a table of n keys: the guard reads only its size."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
+def test_guard_raises_exactly_past_the_key_bound():
+    corpus = (random_corpus(40, 81_000, n_hi=12, variants=(PLAIN,))
+              + random_corpus(40, 81_000, n_hi=12, variants=(CONNECTED,)))
+    for inst in corpus:
+        ctx = _prepare(inst, _ntd(inst))
+        for node, bag in enumerate(ctx.bag_idx):
+            bound = _key_bound(ctx, bag)
+            _guard(ctx, node, _Sized(bound))
+            with pytest.raises(RuntimeError, match=f"bound {bound}$"):
+                _guard(ctx, node, _Sized(bound + 1))
 
 
 def test_dp_handles_joins():

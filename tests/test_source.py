@@ -17,9 +17,18 @@ def _find(predicate):
     return found
 
 
+def _raises_assertion_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements_in_package():
-    # invariants must hold under ``python -O`` too, so they raise explicitly
-    found = _find(lambda node: isinstance(node, ast.Assert))
+    # invariants must hold under ``python -O`` too, so they raise explicitly,
+    # and as RuntimeError: AssertionError reads as a failed ``assert``
+    found = _find(lambda node: isinstance(node, ast.Assert)
+                  or _raises_assertion_error(node))
     assert not found, found
 
 
