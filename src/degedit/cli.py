@@ -1,7 +1,7 @@
 """Command-line interface: solve, kernelize, verify, gen.
 
-Exit codes: 0 success (including a no answer), 1 usage or input error,
-2 capacity exceeded.
+Exit codes: 0 success (including a no answer), 1 usage, input or output
+error (such as an unwritable output path), 2 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ def _read_instance(path: str):
 
 def _solve_with(inst, method: str, width_cap: int) -> Solution | None:
     # solve_auto validates the nice decomposition against the graph before
-    # its DP reads it, so in both DP branches to_nice, given no graph, only
-    # checks the tree structure of the decomposition
+    # its DP reads it; to_nice itself only checks the tree structure
     if method == "dp":
         ntd = to_nice(decompose(inst.graph))
         return solve_auto(inst, ntd, enforce_window=False)
@@ -158,7 +157,7 @@ def main(argv=None) -> int:
     except CapacityError as ex:
         print(f"capacity exceeded: {ex}", file=sys.stderr)
         return 2
-    except ValueError as ex:
+    except (ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

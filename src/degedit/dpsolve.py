@@ -441,8 +441,8 @@ class PreparedSolve:
     def __init__(self, inst: Instance, ntd: NiceTreeDecomposition | None = None,
                  *, check: bool = True):
         if ntd is None:
-            ntd = to_nice(decompose(inst.graph), inst.graph)
-        elif check:
+            ntd = to_nice(decompose(inst.graph))
+        if check:
             verdict = validate(inst.graph, ntd)
             if not verdict:
                 raise ValueError(f"invalid decomposition: {verdict.reason}")

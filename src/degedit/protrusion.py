@@ -8,6 +8,10 @@ their neighbourhood in the core (merging oversized groups back into it),
 then move core vertices with no neighbours outside a part's closed
 neighbourhood into that part.  The result is always structurally valid;
 only the reported size guarantees depend on how well the targets were met.
+
+Each part's width certificate is the min-degree tree decomposition of its
+closed neighbourhood, and the part's width is read off that certificate:
+an upper bound on the treewidth, which is all the kernel needs.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from typing import Iterable
 
 from .graph import Graph
 from .treewidth import TreeDecomposition, decompose, validate as validate_td
-
-EXACT_WIDTH_CAP = 10  # parts at most this big get exact width certificates
 
 
 def greedy_2_dominating_set(g: Graph) -> frozenset[int]:
@@ -42,8 +44,11 @@ def is_r_dominating(g: Graph, dom: Iterable[int], r: int) -> bool:
 class Part:
     vertices: frozenset[int]
     boundary: frozenset[int]       # neighbours of the part, inside the core
-    width: int                     # width of the certificate below
     cert: TreeDecomposition        # decomposition of the closed neighbourhood
+
+    @property
+    def width(self) -> int:
+        return self.cert.width
 
     @property
     def closed(self) -> frozenset[int]:
@@ -114,10 +119,8 @@ def build_protrusion_decomposition(g: Graph, domset: Iterable[int], r: int = 2, 
                     verts.add(u)
                     core.discard(u)
                     moved = True
-        sub = g.subgraph(closed)
-        mode = "exact-small" if sub.n <= EXACT_WIDTH_CAP else "heuristic"
-        cert = decompose(sub, mode)
-        parts.append(Part(frozenset(verts), frozenset(nbhd), cert.width, cert))
+        cert = decompose(g.subgraph(closed))
+        parts.append(Part(frozenset(verts), frozenset(nbhd), cert))
 
     alpha = max([3] + [len(p.boundary) for p in parts] + [p.width for p in parts])
     certified = max(len(parts), len(core)) <= alpha * max(1, len(dom))
@@ -155,10 +158,6 @@ def validate_protrusion_decomposition(g: Graph, pd: ProtrusionDecomposition
         if not td_verdict:
             return ProtrusionVerdict(
                 False, f"part {i}: width certificate invalid ({td_verdict.reason})")
-        if part.cert.width != part.width:
-            return ProtrusionVerdict(
-                False, f"part {i}: recorded width {part.width} differs from "
-                       f"certificate width {part.cert.width}")
         if part.width > pd.alpha or len(part.boundary) > pd.alpha:
             return ProtrusionVerdict(
                 False, f"part {i}: condition (ii) failed, exceeds alpha={pd.alpha}")

@@ -1,10 +1,10 @@
 """Tree decompositions: construction, nice form and validation.
 
-``decompose`` offers two modes.  The heuristic eliminates in min-degree
-order; downstream correctness never depends on width optimality, only
-running time does.  ``exact-small`` determines the true treewidth by
-iterative deepening over elimination orders with memoized failure states,
-bounded above by the min-degree width, and is refused above a size cap.
+``decompose`` eliminates in min-degree order, the upper-bound heuristic of
+Bodlaender and Koster ("Treewidth computations I. Upper bounds", 2010).
+Downstream correctness never depends on width optimality, only running
+time does: a width certificate needs a valid decomposition of bounded
+width, not an optimal one.
 
 ``validate`` decides conditions (i)-(iii) of a nice decomposition in one
 pass over its forget nodes, with no search per vertex.  Once the shape
@@ -16,6 +16,12 @@ forget's child.  Hence the bag union is the set of forgotten vertices
 forgotten once (condition (iii)).  Two subtrees of a rooted tree meet only
 if the top of one lies in the other, so edge uv shares a bag exactly when
 some top bag of u holds v or some top bag of v holds u (condition (ii)).
+
+A plain decomposition is checked through the nice form ``to_nice`` builds
+from it, which is well shaped whenever the tree is.  That form keeps every
+bag and adds only subsets of bags, and forgets a vertex once per connected
+piece of the bags holding it, so each condition holds for the one exactly
+when it holds for the other, and the first failure found is the same.
 """
 
 from __future__ import annotations
@@ -24,15 +30,12 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CapacityError
 from .graph import Graph
 
 LEAF = "leaf"
 INTRODUCE = "introduce"
 FORGET = "forget"
 JOIN = "join"
-
-EXACT_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -157,98 +160,9 @@ def from_elimination_order(g: Graph, order: list[int]) -> TreeDecomposition:
     return TreeDecomposition(tuple(bags), frozenset(edges))
 
 
-# -- exact treewidth by iterative deepening ----------------------------------
-
-
-def _degeneracy(g: Graph) -> int:
-    adj = _adj_dict(g)
-    best = 0
-    while adj:
-        v = min(adj, key=lambda x: (len(adj[x]), x))
-        best = max(best, len(adj[v]))
-        for u in adj[v]:
-            adj[u].discard(v)
-        del adj[v]
-    return best
-
-
-def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
-    nbrs = adj[v]
-    return all(nbrs - {a} <= adj[a] for a in nbrs)
-
-
-def _can_eliminate(adj: dict[int, set[int]], width: int,
-                   failed: set[frozenset[int]]) -> bool:
-    if len(adj) <= width + 1:
-        return True
-    key = frozenset(adj)
-    if key in failed:
-        return False
-    candidates = sorted(v for v in adj if len(adj[v]) <= width)
-    for v in candidates:
-        if _is_simplicial(adj, v):
-            sub = {x: set(ns) for x, ns in adj.items()}
-            _eliminate(sub, v)
-            ok = _can_eliminate(sub, width, failed)
-            if not ok:
-                failed.add(key)
-            return ok
-    for v in candidates:
-        sub = {x: set(ns) for x, ns in adj.items()}
-        _eliminate(sub, v)
-        if _can_eliminate(sub, width, failed):
-            return True
-    failed.add(key)
-    return False
-
-
-def exact_treewidth(g: Graph) -> int:
-    if g.n > EXACT_CAP:
-        raise CapacityError(
-            f"exact treewidth refused for n={g.n} > cap {EXACT_CAP}")
-    if g.n == 0:
-        return -1
-    upper = from_elimination_order(g, _min_degree_order(g)).width
-    width = _degeneracy(g)
-    while width < upper:
-        if _can_eliminate(_adj_dict(g), width, set()):
-            break
-        width += 1
-    return width
-
-
-def _exact_order(g: Graph, width: int) -> list[int]:
-    adj = _adj_dict(g)
-    order = []
-    failed: set[frozenset[int]] = set()
-    while adj:
-        if len(adj) <= width + 1:
-            order.extend(sorted(adj))
-            break
-        for v in sorted(adj):
-            if len(adj[v]) > width:
-                continue
-            sub = {x: set(ns) for x, ns in adj.items()}
-            _eliminate(sub, v)
-            if _can_eliminate(sub, width, failed):
-                order.append(v)
-                adj = sub
-                break
-        else:
-            raise RuntimeError("no elimination extends a feasible prefix")
-    return order
-
-
-def decompose(g: Graph, mode: str = "heuristic") -> TreeDecomposition:
-    """Build a valid tree decomposition of g."""
-    if mode == "heuristic":
-        return from_elimination_order(g, _min_degree_order(g))
-    if mode == "exact-small":
-        width = exact_treewidth(g)
-        if g.n == 0:
-            return TreeDecomposition((frozenset(),), frozenset())
-        return from_elimination_order(g, _exact_order(g, width))
-    raise ValueError(f"unknown mode: {mode!r}")
+def decompose(g: Graph) -> TreeDecomposition:
+    """Build a valid tree decomposition of g by min-degree elimination."""
+    return from_elimination_order(g, _min_degree_order(g))
 
 
 # -- validation ---------------------------------------------------------------
@@ -284,41 +198,9 @@ def validate(g: Graph, td: TreeDecomposition | NiceTreeDecomposition
         if not nice_verdict:
             return nice_verdict
         return _validate_nice_forgets(g, td)
-    bags = td.bags
-    edges = td.tree_edges
-    if not _is_tree(len(bags), edges):
+    if not _is_tree(len(td.bags), td.tree_edges):
         return DecompositionVerdict(False, "tree structure invalid")
-    holders: dict[int, list[int]] = {}  # vertex -> bags containing it, ascending
-    for i, b in enumerate(bags):
-        for x in b:
-            holders.setdefault(x, []).append(i)
-    if holders.keys() != g.vertices:
-        return DecompositionVerdict(
-            False, "condition (i) failed: bag union differs from vertex set")
-    for u, v in g.edges():
-        if not any(v in bags[i] for i in holders[u]):
-            return DecompositionVerdict(
-                False, f"condition (ii) failed: edge ({u}, {v}) not in any bag")
-    adj: dict[int, set[int]] = {i: set() for i in range(len(bags))}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    for x in g.vertices:
-        nodes = set(holders[x])
-        start = holders[x][0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j in nodes and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if seen != nodes:
-            return DecompositionVerdict(
-                False, f"condition (iii) failed: vertex {x} spans a "
-                       "disconnected set of bags")
-    return DecompositionVerdict(True)
+    return _validate_nice_forgets(g, to_nice(td))
 
 
 def _validate_nice_forgets(g: Graph, ntd: NiceTreeDecomposition
@@ -435,17 +317,13 @@ class _NiceBuilder:
                                      tuple(self.children), tuple(self.vertex))
 
 
-def to_nice(td: TreeDecomposition, g: Graph | None = None) -> NiceTreeDecomposition:
+def to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Convert to nice form of the same width.
 
-    Rejects structurally invalid input; full condition checking against the
-    graph happens when one is supplied.
+    Rejects input whose tree structure is invalid; the conditions against a
+    graph are checked by ``validate``.
     """
-    if g is not None:
-        verdict = validate(g, td)
-        if not verdict:
-            raise ValueError(f"invalid decomposition: {verdict.reason}")
-    elif not _is_tree(len(td.bags), td.tree_edges):
+    if not _is_tree(len(td.bags), td.tree_edges):
         raise ValueError("invalid decomposition: tree structure invalid")
 
     if len(td.bags) == 1 and not td.bags[0]:

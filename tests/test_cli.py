@@ -76,6 +76,23 @@ def test_kernelize_verify_round(tmp_path, capsys):
         assert out.startswith("k decided")
 
 
+def test_unwritable_output_paths_are_input_errors(tmp_path, capsys):
+    # an instance that kernelizes to a kernel, so --output is written
+    src = tmp_path / "in.deg"
+    src.write_text(write_instance(
+        generate_random_planar_instance(6, 1, 1, 4, PLAIN, seed=20)))
+    good = tmp_path / "out.deg"
+    missing = tmp_path / "no-such-dir" / "x"
+    for argv in (["gen", "--n", "5", "--output", str(missing)],
+                 ["kernelize", "--input", str(src), "--output", str(missing)],
+                 ["kernelize", "--input", str(src), "--output", str(good),
+                  "--trace", str(missing)]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error:") and str(missing) in err
+
+
 def test_gen_deterministic_and_parseable(tmp_path, capsys):
     f1, f2 = tmp_path / "a.deg", tmp_path / "b.deg"
     argv = ["gen", "--n", "9", "--kv", "1", "--ke", "2", "--cost-budget", "3",

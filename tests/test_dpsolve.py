@@ -9,7 +9,8 @@ from degedit.dpsolve import (PreparedSolve, _guard, _key_bound, _prepare,
 from degedit.instance import CONNECTED, PLAIN, check_solution, is_efficient
 from degedit.io import format_solution
 from degedit.oracle import brute_force_min_cost
-from degedit.treewidth import JOIN, TreeDecomposition, decompose, to_nice
+from degedit.treewidth import (JOIN, NiceTreeDecomposition, TreeDecomposition,
+                               decompose, to_nice)
 
 from conftest import cycle_instance, make_instance, path_instance, random_corpus
 
@@ -80,7 +81,26 @@ def test_solve_auto_rejects_decomposition_missing_an_edge():
 
 
 def _ntd(inst):
-    return to_nice(decompose(inst.graph), inst.graph)
+    return to_nice(decompose(inst.graph))
+
+
+def test_prepared_solve_validates_its_own_decomposition_once(monkeypatch):
+    # with no decomposition given, the one it builds is checked once, in
+    # the nice form the DP reads
+    import degedit.dpsolve
+    import degedit.treewidth
+    calls = []
+    original = degedit.treewidth.validate
+
+    def counting(g, td):
+        calls.append(td)
+        return original(g, td)
+
+    monkeypatch.setattr(degedit.treewidth, "validate", counting)
+    monkeypatch.setattr(degedit.dpsolve, "validate", counting)
+    inst = cycle_instance(5, 1, k_e=2, cost_budget=3)
+    PreparedSolve(inst)
+    assert [type(td) for td in calls] == [NiceTreeDecomposition]
 
 
 def test_process_node_leaf_shape():

@@ -235,7 +235,7 @@ def test_validate_verdicts_match_scan_on_corruptions():
     for trial in range(300):
         g = random_planar_graph(rng.randint(1, 25), rng)
         td = decompose(g)
-        ntd = to_nice(td, g)
+        ntd = to_nice(td)
         cases = [td, ntd,
                  TreeDecomposition(_corrupt_bags(td.bags, g, rng), td.tree_edges),
                  TreeDecomposition(td.bags, _corrupt_edges(

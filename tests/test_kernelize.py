@@ -26,8 +26,7 @@ def _part_for(inst, vertices):
     verts = frozenset(vertices)
     boundary = frozenset(x for v in verts for x in g.neighbors(v)) - verts
     sub = g.subgraph(verts | boundary)
-    cert = decompose(sub)
-    return Part(verts, boundary, cert.width, cert)
+    return Part(verts, boundary, decompose(sub))
 
 
 def test_configs_empty_boundary_is_single_config():

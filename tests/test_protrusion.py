@@ -99,17 +99,6 @@ def test_boundary_cap_merges_into_core():
     assert 4 in capped.r0
 
 
-def test_validator_flags_bad_width_claim():
-    g = path(5)
-    pd = build_protrusion_decomposition(g, [3], r=2)
-    if pd.parts:
-        from dataclasses import replace
-        broken = replace(pd, parts=tuple(
-            replace(p, width=p.width + 1) for p in pd.parts))
-        verdict = validate_protrusion_decomposition(g, broken)
-        assert not verdict and "width" in verdict.reason
-
-
 def test_validator_flags_bad_partition():
     g = path(4)
     pd = build_protrusion_decomposition(g, g.vertices, r=2)

@@ -3,13 +3,12 @@ from itertools import permutations
 
 import pytest
 
-from degedit.errors import CapacityError
 from degedit.generator import random_planar_graph
 from degedit.graph import Graph
-from degedit.treewidth import (EXACT_CAP, FORGET, INTRODUCE, JOIN, LEAF,
+from degedit.treewidth import (FORGET, INTRODUCE, JOIN, LEAF,
                                NiceTreeDecomposition, TreeDecomposition,
-                               decompose, exact_treewidth,
-                               from_elimination_order, to_nice, validate)
+                               decompose, from_elimination_order, to_nice,
+                               validate)
 
 from conftest import cycle_instance
 
@@ -49,33 +48,29 @@ def cycle(n):
 
 def test_known_widths():
     assert decompose(path(3)).width == 1
-    assert decompose(cycle(4), "exact-small").width == 2
+    assert decompose(cycle(4)).width == 2
     assert decompose(k(4)).width == 3
-    assert exact_treewidth(Graph()) == -1
-    assert exact_treewidth(Graph([7])) == 0
+    assert decompose(Graph()).width == -1
+    assert decompose(Graph([7])).width == 0
 
 
-def test_exact_matches_brute_force(rng):
+def test_min_degree_matches_brute_force(rng):
+    # min-degree is only an upper bound in general; on these small planar
+    # graphs it meets the true treewidth, so small protrusion parts get
+    # optimal width certificates without an exact search
     for trial in range(25):
         g = random_planar_graph(rng.randint(1, 6), rng)
-        assert exact_treewidth(g) == brute_force_treewidth(g), g.edge_set()
+        assert decompose(g).width == brute_force_treewidth(g), g.edge_set()
     for trial in range(6):
         g = random_planar_graph(rng.randint(7, 8), rng)
-        assert exact_treewidth(g) == brute_force_treewidth(g), g.edge_set()
-
-
-def test_exact_cap_enforced():
-    g = path(EXACT_CAP + 1)
-    with pytest.raises(CapacityError):
-        decompose(g, "exact-small")
+        assert decompose(g).width == brute_force_treewidth(g), g.edge_set()
 
 
 def test_decompositions_validate(rng):
     for trial in range(60):
         g = random_planar_graph(rng.randint(0, 11), rng)
-        for mode in ("heuristic", "exact-small"):
-            td = decompose(g, mode)
-            assert validate(g, td), (mode, g.edge_set())
+        td = decompose(g)
+        assert validate(g, td), g.edge_set()
 
 
 def test_validate_names_violated_condition():
@@ -94,7 +89,7 @@ def test_validate_names_violated_condition():
 def test_to_nice_triangle_single_bag():
     g = k(3)
     td = TreeDecomposition((frozenset({1, 2, 3}),), frozenset())
-    ntd = to_nice(td, g)
+    ntd = to_nice(td)
     assert validate(g, ntd)
     # a lone bag unfolds into leaf, 3 introduces, 3 forgets
     kinds = list(ntd.kinds)
@@ -107,7 +102,7 @@ def test_to_nice_triangle_single_bag():
 
 def test_to_nice_empty_graph_degenerate():
     g = Graph()
-    ntd = to_nice(decompose(g), g)
+    ntd = to_nice(decompose(g))
     assert len(ntd) == 1 and ntd.kinds[0] == LEAF
     assert validate(g, ntd)
 
@@ -116,7 +111,7 @@ def test_to_nice_preserves_width_and_validates(rng):
     for trial in range(500):
         g = random_planar_graph(rng.randint(0, 10), rng)
         td = decompose(g)
-        ntd = to_nice(td, g)
+        ntd = to_nice(td)
         assert ntd.width == td.width
         assert validate(g, ntd), (g.edge_set(), trial)
         # node count stays linear in graph and decomposition size
@@ -128,11 +123,11 @@ def test_to_nice_rejects_invalid():
     broken = TreeDecomposition(
         (frozenset({1, 2}), frozenset({3})), frozenset())
     with pytest.raises(ValueError):
-        to_nice(broken, g)
+        to_nice(broken)
 
 
 def test_joins_appear_on_branching_graphs():
     g = Graph(range(1, 8), [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7)])
-    ntd = to_nice(decompose(g), g)
+    ntd = to_nice(decompose(g))
     assert JOIN in ntd.kinds
     assert validate(g, ntd)
