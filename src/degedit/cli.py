@@ -7,12 +7,14 @@ error (such as an unwritable output path), 2 capacity exceeded.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .dpsolve import solve_auto
+from .dpsolve import active_region, solve_auto
 from .errors import CapacityError, ParseError
 from .generator import generate_random_planar_instance
-from .instance import CONNECTED, PLAIN, Solution
+from .graph import Graph
+from .instance import CONNECTED, PLAIN, Instance, Solution
 from .io import format_solution, parse_instance, write_instance
 from .kernelize import KERNEL, format_trace, kernelize
 from .normalize import DECIDED_YES
@@ -32,6 +34,17 @@ def _read_instance(path: str):
     return parse_instance(text)
 
 
+def _write_file(path: str, text: str) -> None:
+    """Overwrite path with text in place.  Opening with truncation to zero
+    makes ext4 flush the file when it is closed (its auto_da_alloc
+    heuristic); on an ext4 virtual disk that took about 0.2 ms per small
+    file, and several ms at the 99th percentile, against under 0.01 ms for
+    writing over the old bytes and cutting the file at the new end."""
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def _solve_with(inst, method: str, width_cap: int) -> Solution | None:
     # solve_auto validates the nice decomposition against the graph before
     # its DP reads it; to_nice itself only checks the tree structure
@@ -41,10 +54,16 @@ def _solve_with(inst, method: str, width_cap: int) -> Solution | None:
     if method == "brute":
         rep = brute_force_min_cost(inst)
         return rep.best() if rep.feasible else None
-    # auto: prefer the dynamic program while the decomposition stays narrow
-    ntd = to_nice(decompose(inst.graph))
+    # auto: the dynamic program on the active region while its decomposition
+    # stays narrow, then on the whole graph, whose heuristic width may differ
+    target = active_region(inst)
+    if target is None:
+        return None
+    ntd = to_nice(decompose(target.graph))
+    if ntd.width > width_cap and target is not inst:
+        target, ntd = inst, to_nice(decompose(inst.graph))
     if ntd.width <= width_cap:
-        return solve_auto(inst, ntd, enforce_window=False)
+        return solve_auto(target, ntd, enforce_window=False)
     if inst.graph.n <= DEFAULT_VERTEX_CAP and inst.graph.m <= DEFAULT_EDGE_CAP:
         rep = brute_force_min_cost(inst)
         return rep.best() if rep.feasible else None
@@ -63,15 +82,25 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _decided_kernel(yes: bool, variant: str) -> Instance:
+    """Trivial instance with the decided answer: the empty graph for yes;
+    for no, one vertex with target 1 and zero budgets."""
+    vs = () if yes else (1,)
+    return Instance(Graph(vs), {v: 1 for v in vs}, {v: 1 for v in vs}, {},
+                    {v: 0 for v in vs}, {}, 0, 0, 0, variant)
+
+
 def cmd_kernelize(args) -> int:
     inst = _read_instance(args.input)
     result = kernelize(inst)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(format_trace(result.log))
+        _write_file(args.trace, format_trace(result.log))
+    # a decided instance still gets a file, so --output is always checked
+    # and a later verify never reads a stale one
+    kernel = result.instance if result.kind == KERNEL else \
+        _decided_kernel(result.kind == DECIDED_YES, inst.variant)
+    _write_file(args.output, write_instance(kernel))
     if result.kind == KERNEL:
-        with open(args.output, "w") as fh:
-            fh.write(write_instance(result.instance))
         sys.stdout.write(
             f"k kernel {result.instance.graph.n} {result.instance.graph.m} "
             f"certified {1 if result.certified else 0}\n")
@@ -98,8 +127,7 @@ def cmd_gen(args) -> int:
         seed=args.seed, raw=args.raw)
     text = write_instance(inst)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write_file(args.output, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -40,6 +40,31 @@ times factors for the deleted bag edges, the losses and, in the connected
 variant, the partitions, each at least one.  So
 ``(k_v + 1)(k_e + 1) << |bag|`` is a floor of the bound, and ``_guard``
 computes the bound itself only for a table above that floor.
+
+Solving without a given decomposition first cuts the instance down to the
+part a solution can reach (``active_region``).  Let S+ be the vertices
+above their target, and take an efficient feasible solution (U, D).  A
+kept vertex outside S+ can lose nothing, so every neighbour of a deleted
+vertex is deleted too unless it lies in S+: each x in U has
+w(x) + w(N(x) - S+) <= w(U) <= k_v and N(x) - S+ inside U.  U therefore
+lies in X, the largest set with both properties, found by one worklist
+pass that drops vertices until both hold.  Both ends of an edge in D lose
+it and are kept, so D lies in E(S+).  Every vertex outside X is kept, every
+vertex outside X and S+ keeps all its edges, and one below its target
+outside X means the answer is no.  The region instance is G[X + S+] with
+the original ids, plus one rigid vertex per component of the rest: a
+fresh id above the largest one, weight k_v + 1, cost 0, target its degree,
+joined to the component's region neighbours by edges of weight k_e + 1
+and cost 0.  A rest component survives whole, so one vertex in its place
+keeps connectivity exact; a region vertex t gets the target
+delta(t) - |N(t) - region| + (rest components t touches), and a negative
+one means no.  Region vertices outside X weigh k_v + 1, since no solution
+deletes them.  Both instances have the same efficient feasible solutions
+at the same costs, and kept ids and edge pairs keep their relative order.
+The DP's pick does not depend on the decomposition either: two entries
+under one key spend the same weight, so neither deletion set is a proper
+subset of the other, and adding the same disjoint deletions keeps their
+order.  So both instances print the same (cost, ids, edge pairs) optimum.
 """
 
 from __future__ import annotations
@@ -47,6 +72,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from .graph import Graph
 from .instance import CONNECTED, PLAIN, Instance, Solution
 from .treewidth import (FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDecomposition,
                         decompose, to_nice, validate)
@@ -458,11 +484,80 @@ class PreparedSolve:
                            inst.k_e if h_e is None else h_e)
 
 
+def active_region(inst: Instance) -> Instance | None:
+    """The region instance of inst (see the module docstring): same optimum,
+    ids and tie-break; inst itself when every vertex is in X; None when the
+    region alone proves the answer is no."""
+    g, delta, weight_v, k_v = inst.graph, inst.delta, inst.weight_v, inst.k_v
+    nbrs = {v: g.neighbors(v) for v in g.vertices}
+    plus = {v for v, ns in nbrs.items() if len(ns) > delta[v]}
+    x = set()
+    for v, ns in nbrs.items():
+        spent = weight_v[v]
+        for u in ns:
+            if spent > k_v:
+                break
+            if u not in plus:
+                spent += weight_v[u]
+        if spent <= k_v:
+            x.add(v)
+    # a vertex outside X and S+ is kept at zero loss: its neighbours stay
+    stack = [v for v in nbrs if v not in x and v not in plus]
+    while stack:
+        for u in nbrs[stack.pop()]:
+            if u in x:
+                x.remove(u)
+                if u not in plus:
+                    stack.append(u)
+    if any(len(ns) < delta[v] for v, ns in nbrs.items() if v not in x):
+        return None
+    if len(x) == len(nbrs):
+        return inst
+    region = x | plus
+    touches: list[set[int]] = []  # region neighbours of each rest component
+    seen: set[int] = set()
+    for s in sorted(nbrs.keys() - region):
+        if s in seen:
+            continue
+        seen.add(s)
+        stack, touch = [s], set()
+        while stack:
+            for u in nbrs[stack.pop()]:
+                if u in region:
+                    touch.add(u)
+                elif u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        touches.append(touch)
+    delta_h = {v: delta[v] - len(nbrs[v] - region) for v in region}
+    weight_h = {v: weight_v[v] if v in x else k_v + 1 for v in region}
+    cost_h = {v: inst.cost_v[v] for v in region}
+    edges = [(a, b) for a in region for b in nbrs[a] if a < b and b in region]
+    weight_e = {e: inst.weight_e[e] for e in edges}
+    cost_e = {e: inst.cost_e[e] for e in edges}
+    rigid = max(nbrs) + 1
+    for z, touch in enumerate(touches, rigid):
+        delta_h[z], weight_h[z], cost_h[z] = len(touch), k_v + 1, 0
+        for t in touch:
+            delta_h[t] += 1
+            edges.append((t, z))
+            weight_e[(t, z)], cost_e[(t, z)] = inst.k_e + 1, 0
+    if any(d < 0 for d in delta_h.values()):
+        return None
+    return Instance(Graph(delta_h.keys(), edges), delta_h, weight_h, weight_e,
+                    cost_h, cost_e, k_v, inst.k_e, inst.cost_budget,
+                    inst.variant)
+
+
 def _solve(inst: Instance, ntd, variant: str, enforce_window: bool) -> Solution | None:
     if inst.variant != variant:
         raise ValueError(f"instance variant is {inst.variant!r}, expected {variant!r}")
     if enforce_window and not inst.in_degree_window():
         raise ValueError("degrees violate the solvable window; normalize first")
+    if ntd is None:
+        inst = active_region(inst)
+        if inst is None:
+            return None
     return PreparedSolve(inst, ntd).solve()
 
 

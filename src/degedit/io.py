@@ -50,6 +50,8 @@ def parse_instance(text: str) -> Instance:
     n, m, k_v, k_e, cbudget, variant_flag = header
     if variant_flag not in (0, 1):
         raise ParseError("variant flag must be 0 (plain) or 1 (connected)")
+    if min(k_v, k_e, cbudget) < 0:
+        raise ParseError("budgets must be non-negative")
     if len(vlines) != n:
         raise ParseError(f"expected {n} vertex lines, found {len(vlines)}")
     if len(elines) != m:

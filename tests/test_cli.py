@@ -1,16 +1,18 @@
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from degedit.cli import main
+from degedit.cli import DEFAULT_WIDTH_CAP, main
 from degedit.generator import generate_random_planar_instance
-from degedit.instance import CONNECTED, PLAIN
+from degedit.instance import CONNECTED, PLAIN, Solution, check_solution
 from degedit.io import parse_instance, write_instance
-from degedit.oracle import brute_force_min_cost
+from degedit.oracle import DEFAULT_VERTEX_CAP, brute_force_min_cost
+from degedit.treewidth import decompose, to_nice
 
-from conftest import random_corpus
+from conftest import make_instance, random_corpus
 
 TRIANGLE = """\
 p degedit 3 3 0 0 0 0
@@ -185,3 +187,86 @@ def test_solve_dp_validates_once(tmp_path, capsys, monkeypatch):
                            capsys)
     assert code == 0 and out.startswith("s ")
     assert len(calls) == 1
+
+
+def test_solve_auto_and_dp_print_the_same_bytes(tmp_path, capsys):
+    # auto solves the active region, dp the whole graph; at width cap 1
+    # auto falls back to the whole graph or brute force where the region
+    # is wider
+    corpus = (random_corpus(20, 62_000, n_hi=12)
+              + random_corpus(20, 63_000, n_hi=12, raw=True))
+    for i, inst in enumerate(corpus):
+        f = tmp_path / f"i{i}.deg"
+        f.write_text(write_instance(inst))
+        outs = {run_cli(["solve", "--input", str(f)] + extra, capsys)
+                for extra in ([], ["--width-cap", "1"], ["--method", "dp"])}
+        assert len(outs) == 1 and outs.pop()[0] == 0, inst
+
+
+def _planted_grid(side, seed):
+    """A side x side grid with one diagonal per cell and a planted deletion
+    of two vertices and two edges (weights and costs 1): survivors' targets
+    are their degrees after it."""
+    rng = random.Random(seed)
+    n = side * side
+    edges = []
+    for v in range(1, n + 1):
+        right, down = v % side != 0, v + side <= n
+        if right:
+            edges.append((v, v + 1))
+        if down:
+            edges.append((v, v + side))
+        if right and down:
+            edges.append((v, v + side + 1))
+    gone = set(rng.sample(range(1, n + 1), 2))
+    live = [e for e in edges if not gone & set(e)]
+    cut = set(rng.sample(live, 2))
+    deg = Counter(v for e in live if e not in cut for v in e)
+    delta = {v: rng.randint(0, 6) if v in gone else deg[v]
+             for v in range(1, n + 1)}
+    return make_instance(range(1, n + 1), edges, delta, k_v=2, k_e=2,
+                         cost_budget=4)
+
+
+def test_solve_answers_a_wide_planted_grid(tmp_path, capsys):
+    # the whole grid is too wide for the DP and too big for brute force;
+    # only the active region around the planted pair is solved
+    inst = _planted_grid(15, 3)
+    assert to_nice(decompose(inst.graph)).width > DEFAULT_WIDTH_CAP
+    assert inst.graph.n > DEFAULT_VERTEX_CAP
+    f = tmp_path / "grid.deg"
+    f.write_text(write_instance(inst))
+    code, out, _ = run_cli(["solve", "--input", str(f)], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "s yes" and int(lines[1][2:]) <= inst.cost_budget
+    sol = Solution.of(inst, [int(v) for v in lines[2].split()[1:]],
+                      [tuple(map(int, e.split("-"))) for e in lines[3].split()[1:]])
+    assert check_solution(inst, sol).ok
+
+
+@pytest.mark.parametrize("text, answer", [
+    (TRIANGLE, "yes"),
+    ("p degedit 3 2 0 0 0 1\nv 1 1 1 0\nv 2 1 1 0\nv 3 1 1 0\n"
+     "e 1 2 1 0\ne 2 3 1 0\n", "no"),
+], ids=["yes", "no"])
+def test_kernelize_writes_a_decided_instance(tmp_path, capsys, text, answer):
+    src = tmp_path / "in.deg"
+    src.write_text(text)
+    missing = tmp_path / "no-such-dir" / "x"
+    code, out, err = run_cli(
+        ["kernelize", "--input", str(src), "--output", str(missing)], capsys)
+    assert (code, out) == (1, "") and str(missing) in err
+    # a stale kernel from another instance is replaced
+    kernel = tmp_path / "out.deg"
+    kernel.write_text(write_instance(
+        generate_random_planar_instance(6, 1, 1, 4, PLAIN, seed=20)))
+    code, out, _ = run_cli(
+        ["kernelize", "--input", str(src), "--output", str(kernel)], capsys)
+    assert (code, out) == (0, f"k decided {answer}\n")
+    original, decided = parse_instance(text), parse_instance(kernel.read_text())
+    assert decided.variant == original.variant and decided.graph.n <= 1
+    assert brute_force_min_cost(decided).feasible == (answer == "yes")
+    code, out, _ = run_cli(
+        ["verify", "--original", str(src), "--kernel", str(kernel)], capsys)
+    assert (code, out) == (0, "equivalent yes\n")

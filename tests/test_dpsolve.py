@@ -4,8 +4,9 @@ import random
 import pytest
 
 from degedit.dpsolve import (PreparedSolve, _guard, _key_bound, _prepare,
-                             process_node, solve_auto, solve_dcpggd_tw,
-                             solve_dpggd_tw)
+                             active_region, process_node, solve_auto,
+                             solve_dcpggd_tw, solve_dpggd_tw)
+from degedit.generator import generate_random_planar_instance
 from degedit.instance import CONNECTED, PLAIN, check_solution, is_efficient
 from degedit.io import format_solution
 from degedit.oracle import brute_force_min_cost
@@ -336,3 +337,85 @@ def test_planted_outputs_match_pinned_digest():
     text = planted_outputs()
     assert text.count("s yes") >= 20 and text.count("s no") >= 10
     assert hashlib.sha256(text.encode()).hexdigest() == PLANTED_DIGEST
+
+
+# -- the active region ---------------------------------------------------------
+
+
+def _region_kind(inst):
+    """How the region path answers inst, after checking it prints exactly
+    what the full-graph DP prints."""
+    region = active_region(inst)
+    full = format_solution(PreparedSolve(inst).solve())
+    assert format_solution(solve_auto(inst, enforce_window=False)) == full, inst
+    if region is None:
+        return "no"
+    if region is inst:
+        return "whole"
+    top = max(inst.graph.vertices)
+    rigid = sum(1 for v in region.graph.vertices if v > top)
+    if region.graph.n == inst.graph.n:
+        return "reweighted"
+    return "split" if rigid >= 2 else "shrunk"
+
+
+def test_region_matches_full_dp_on_planted():
+    kinds = {(inst.variant, _region_kind(inst)) for inst in
+             (_planted(606_000 + i) for i in range(60))}
+    # every planted region that does not decide is strictly smaller
+    assert {k for _, k in kinds} == {"no", "shrunk", "split"}
+    assert {v for v, _ in kinds} == {PLAIN, CONNECTED}
+
+
+def test_region_matches_full_dp_on_generated():
+    rng = random.Random(83_000)
+    kinds = set()
+    for i in range(300):
+        k_v = rng.randint(0, 3)
+        inst = generate_random_planar_instance(
+            rng.randint(1, 30), k_v, rng.randint(0, 3 - k_v), rng.randint(0, 6),
+            rng.choice((PLAIN, CONNECTED)), seed=83_000 + i, raw=i % 2 == 0)
+        kinds.add((inst.variant, _region_kind(inst)))
+    for variant in (PLAIN, CONNECTED):
+        for kind in ("no", "whole", "reweighted", "shrunk", "split"):
+            assert (variant, kind) in kinds
+
+
+def test_region_proves_no_below_target_outside_x():
+    # 5 sits below its target; deleting it would take its neighbour 1
+    # (at target) too, past k_v = 1, so 5 is outside X
+    inst = make_instance(range(1, 6), [(1, 2), (2, 3), (3, 4), (1, 4), (1, 5)],
+                         {1: 3, 2: 2, 3: 2, 4: 2, 5: 2}, k_v=1, k_e=1,
+                         cost_budget=9)
+    assert active_region(inst) is None
+    assert PreparedSolve(inst).solve() is None
+    assert solve_auto(inst, enforce_window=False) is None
+
+
+def test_region_keeps_rest_components_apart():
+    # two triangles at target hang off the path 4-5, which may drop its
+    # middle edge: fine for the plain variant, but it cuts the connected
+    # survivor in two, so each triangle must stay a vertex of its own
+    edges = [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6),
+             (6, 7), (6, 8), (7, 8)]
+    delta = {1: 2, 2: 2, 3: 3, 4: 1, 5: 1, 6: 3, 7: 2, 8: 2}
+    for variant, answer in ((PLAIN, "s yes\nc 1\nd\nr 4-5\n"),
+                            (CONNECTED, "s no\n")):
+        inst = make_instance(range(1, 9), edges, delta, k_v=1, k_e=1,
+                             cost_budget=1, variant=variant)
+        region = active_region(inst)
+        assert region.graph.sorted_vertices() == [4, 5, 9, 10]
+        assert _region_kind(inst) == "split"
+        assert format_solution(solve_auto(inst, enforce_window=False)) == answer
+
+
+def test_region_with_no_active_vertex():
+    # two triangles at target: nothing can move unless k_v covers a triangle
+    edges = [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
+    answers = {(PLAIN, 0): "s yes\nc 0\nd\nr\n", (CONNECTED, 0): "s no\n",
+               (CONNECTED, 3): "s yes\nc 3\nd 1 2 3\nr\n"}
+    for (variant, k_v), answer in answers.items():
+        inst = make_instance(range(1, 7), edges, 2, k_v=k_v, cost_budget=3,
+                             variant=variant)
+        assert _region_kind(inst) == ("whole" if k_v else "split")
+        assert format_solution(solve_auto(inst, enforce_window=False)) == answer

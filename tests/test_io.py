@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degedit.errors import ParseError
 from degedit.generator import generate_random_planar_instance, random_planar_graph
 from degedit.graph import is_planar
-from degedit.instance import CONNECTED, PLAIN, Solution
+from degedit.instance import CONNECTED, PLAIN, Instance, Solution
 from degedit.io import format_solution, parse_instance, write_instance
 
 
@@ -46,6 +47,7 @@ def test_k5_rejected_nonplanar():
 @pytest.mark.parametrize("mutation, message", [
     ("p degedit 1 0 0 0 0 0", "expected 1 vertex lines"),
     ("p degedit 0 0 0 0 0 2", "variant"),
+    ("p degedit 0 0 0 -1 0 0", "budgets must be non-negative"),
     ("v 1 0 1 0", "before header"),
     ("p degedit 0 0 0 0 0 0\nq zzz", "unknown record"),
 ])
@@ -95,3 +97,57 @@ def test_format_solution():
     assert text.splitlines() == ["s yes", "c 0", "d", "r"]
     text = format_solution(Solution.of(inst, [2], [(1, 3)]))
     assert text.splitlines() == ["s yes", "c 0", "d 2", "r 1-3"]
+
+
+@st.composite
+def instances(draw):
+    """Instances on random planar graphs with ids 1..n and any legal fields."""
+    g = random_planar_graph(draw(st.integers(0, 12)),
+                            random.Random(draw(st.integers(0, 2 ** 32))),
+                            draw(st.floats(0.2, 1.0)))
+    vs, es = g.sorted_vertices(), sorted(g.edges())
+    big = st.integers(0, 10 ** 12)
+
+    def field(keys, values):
+        return draw(st.fixed_dictionaries({k: values for k in keys}))
+
+    return Instance(g, field(vs, big), field(vs, st.integers(1, 10 ** 12)),
+                    field(es, st.integers(1, 10 ** 12)), field(vs, big),
+                    field(es, big), draw(big), draw(big), draw(big),
+                    draw(st.sampled_from((PLAIN, CONNECTED))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_write_parse_round_trip_keeps_every_field(inst):
+    assert parse_instance(write_instance(inst)) == inst
+
+
+TOKENS = st.one_of(
+    st.sampled_from(["p", "v", "e", "degedit", "#", "x", "0", "1", "-1",
+                     "1.5", "9" * 5000]),
+    st.integers(-3, 14).map(str),
+    st.text(alphabet=" \t0123456789-+#pvex", max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.data())
+def test_one_line_mutation_parses_or_raises_parse_error(inst, data):
+    lines = write_instance(inst).splitlines()
+    # the header carries most fields, so it draws half the mutations
+    i = data.draw(st.one_of(st.just(0), st.integers(0, len(lines) - 1)))
+    op = data.draw(st.sampled_from(("drop", "copy", "line", "token")))
+    if op == "drop":
+        del lines[i]
+    elif op == "copy":
+        lines.insert(i, lines[i])
+    elif op == "line":
+        lines[i] = " ".join(data.draw(st.lists(TOKENS, max_size=9)))
+    else:
+        parts = lines[i].split()
+        parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(TOKENS)
+        lines[i] = " ".join(parts)
+    try:
+        parse_instance("\n".join(lines) + "\n")
+    except ParseError:
+        pass
