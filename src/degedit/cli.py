@@ -27,9 +27,9 @@ DEFAULT_WIDTH_CAP = 8
 
 def _read_instance(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         raise ParseError(f"cannot read {path}: {ex}")
     return parse_instance(text)
 

@@ -532,20 +532,21 @@ def active_region(inst: Instance) -> Instance | None:
     delta_h = {v: delta[v] - len(nbrs[v] - region) for v in region}
     weight_h = {v: weight_v[v] if v in x else k_v + 1 for v in region}
     cost_h = {v: inst.cost_v[v] for v in region}
-    edges = [(a, b) for a in region for b in nbrs[a] if a < b and b in region]
-    weight_e = {e: inst.weight_e[e] for e in edges}
-    cost_e = {e: inst.cost_e[e] for e in edges}
+    adj = {v: nbrs[v] & region for v in region}
+    weight_e = {(a, b): inst.weight_e[a, b] for a in region for b in adj[a] if a < b}
+    cost_e = {e: inst.cost_e[e] for e in weight_e}
     rigid = max(nbrs) + 1
     for z, touch in enumerate(touches, rigid):
         delta_h[z], weight_h[z], cost_h[z] = len(touch), k_v + 1, 0
+        adj[z] = frozenset(touch)
         for t in touch:
             delta_h[t] += 1
-            edges.append((t, z))
+            adj[t] |= {z}
             weight_e[(t, z)], cost_e[(t, z)] = inst.k_e + 1, 0
     if any(d < 0 for d in delta_h.values()):
         return None
-    return Instance(Graph(delta_h.keys(), edges), delta_h, weight_h, weight_e,
-                    cost_h, cost_e, k_v, inst.k_e, inst.cost_budget,
+    return Instance(Graph._from_adj(adj, frozenset(sorted(weight_e))), delta_h, weight_h,
+                    weight_e, cost_h, cost_e, k_v, inst.k_e, inst.cost_budget,
                     inst.variant)
 
 

@@ -7,7 +7,7 @@ shared freely between concurrent workers.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, KeysView
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -20,7 +20,7 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Finite undirected graph without loops or parallel edges."""
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_adj", "_edges")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         adj: dict[int, frozenset[int]] = {int(v): frozenset() for v in vertices}
@@ -32,11 +32,15 @@ class Graph:
             staged[u].add(v)
             staged[v].add(u)
         self._adj = {v: frozenset(ns) for v, ns in staged.items()} if staged else adj
+        self._edges = None
 
     @classmethod
-    def _from_adj(cls, adj: dict[int, frozenset[int]]) -> "Graph":
+    def _from_adj(cls, adj: dict[int, frozenset[int]],
+                  edges: frozenset[tuple[int, int]] | None = None) -> "Graph":
+        """Graph over adj as is; ``edges``, when given, must be its edge set."""
         g = object.__new__(cls)
         g._adj = adj
+        g._edges = edges
         return g
 
     # -- queries ----------------------------------------------------------
@@ -44,6 +48,10 @@ class Graph:
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(self._adj)
+
+    def vertex_keys(self) -> KeysView[int]:
+        """The vertices as a live key view, compared as a set without a copy."""
+        return self._adj.keys()
 
     def sorted_vertices(self) -> list[int]:
         return sorted(self._adj)
@@ -75,7 +83,10 @@ class Graph:
                     yield (u, v)
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges())
+        """The edge pairs, built on first use and kept: a graph never changes."""
+        if self._edges is None:
+            self._edges = frozenset(self.edges())
+        return self._edges
 
     def incident_edges(self, v: int) -> list[tuple[int, int]]:
         return [edge_key(v, u) for u in sorted(self._adj[v])]

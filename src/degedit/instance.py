@@ -31,21 +31,22 @@ class Instance:
     variant: str = PLAIN
 
     def __post_init__(self):
-        vs = self.graph.vertices
+        # key views compare as sets, against the graph's vertex key view and
+        # its cached edge set
+        vs = self.graph.vertex_keys()
         es = self.graph.edge_set()
-        for name, m, keys in (("delta", self.delta, vs),
-                              ("weight_v", self.weight_v, vs),
-                              ("cost_v", self.cost_v, vs)):
-            if set(m) != set(keys):
+        for name, m in (("delta", self.delta), ("weight_v", self.weight_v),
+                        ("cost_v", self.cost_v)):
+            if m.keys() != vs:
                 raise ValueError(f"{name} must be defined exactly on the vertex set")
         for name, m in (("weight_e", self.weight_e), ("cost_e", self.cost_e)):
-            if set(m) != set(es):
+            if m.keys() != es:
                 raise ValueError(f"{name} must be defined exactly on the edge set")
-        if any(x < 0 for x in self.delta.values()):
+        if min(self.delta.values(), default=0) < 0:
             raise ValueError("degree targets must be non-negative")
-        if any(x < 1 for x in self.weight_v.values()) or any(x < 1 for x in self.weight_e.values()):
+        if min(self.weight_v.values(), default=1) < 1 or min(self.weight_e.values(), default=1) < 1:
             raise ValueError("weights must be positive integers")
-        if any(x < 0 for x in self.cost_v.values()) or any(x < 0 for x in self.cost_e.values()):
+        if min(self.cost_v.values(), default=0) < 0 or min(self.cost_e.values(), default=0) < 0:
             raise ValueError("costs must be non-negative")
         if self.k_v < 0 or self.k_e < 0 or self.cost_budget < 0:
             raise ValueError("budgets must be non-negative")

@@ -45,6 +45,16 @@ def test_solve_missing_file(capsys):
     assert "error" in err
 
 
+def test_solve_reports_an_undecodable_file_with_its_path(tmp_path, capsys):
+    f = tmp_path / "latin1.deg"
+    f.write_bytes(TRIANGLE.encode() + b"# caf\xe9\n")
+    code, out, err = run_cli(["solve", "--input", str(f)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {f}: 'utf-8' codec can't decode")
+    f.write_bytes(TRIANGLE.encode() + "# café\n".encode())
+    assert run_cli(["solve", "--input", str(f)], capsys)[:2] == (0, "s yes\nc 0\nd\nr\n")
+
+
 def test_solve_methods_agree(tmp_path, capsys):
     for i, inst in enumerate(random_corpus(40, 61_000, n_hi=9)):
         f = tmp_path / f"i{i}.deg"

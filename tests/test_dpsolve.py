@@ -352,6 +352,7 @@ def _region_kind(inst):
         return "no"
     if region is inst:
         return "whole"
+    assert list(region.graph.edge_set()) == list(frozenset(region.graph.edges()))
     top = max(inst.graph.vertices)
     rigid = sum(1 for v in region.graph.vertices if v > top)
     if region.graph.n == inst.graph.n:

@@ -222,3 +222,30 @@ def test_bipartite_planar_bound_rejects_non_bipartition():
     with pytest.raises(ValueError, match="bipartite"):
         verify_bipartite_planar_bound(Graph([1, 2, 3], [(1, 2), (1, 3), (2, 3)]),
                                       [1, 2], [3])
+
+
+def _edits(g, rng):
+    """One result of each edit method on g, each from a fresh random pick."""
+    vs = g.sorted_vertices()
+    es = list(g.edges())
+    yield g.delete_vertex(rng.choice(vs))
+    yield g.delete_vertices(rng.sample(vs, rng.randint(0, len(vs))))
+    yield g.subgraph(rng.sample(vs, rng.randint(0, len(vs))))
+    yield g.add_vertex(max(vs) + 1, rng.sample(vs, rng.randint(0, min(3, len(vs)))))
+    if es:
+        yield g.delete_edge(*rng.choice(es))
+        yield g.delete_edges(rng.sample(es, rng.randint(0, len(es))))
+        yield g.contract_edge(*rng.choice(es))[0]
+
+
+def test_cached_edge_set_follows_every_edit(rng):
+    for trial in range(300):
+        g = random_planar_graph(rng.randint(1, 12), rng)
+        if trial % 2:
+            g.edge_set()  # a cached set on the source must not leak into edits
+        for h in [g, *_edits(g, rng)]:
+            for _ in range(2):  # built on first use, then kept
+                assert h.edge_set() == frozenset(h.edges())
+                # the same iteration order as a fresh build, since callers
+                # fill dicts in this order
+                assert list(h.edge_set()) == list(frozenset(h.edges()))

@@ -1,13 +1,150 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from degedit.errors import ParseError
 from degedit.generator import generate_random_planar_instance, random_planar_graph
-from degedit.graph import is_planar
+from degedit.graph import Graph, is_planar
 from degedit.instance import CONNECTED, PLAIN, Instance, Solution
 from degedit.io import format_solution, parse_instance, write_instance
+
+from test_dpsolve import _planted
+
+
+def reference_parse_instance(text: str) -> Instance:
+    """The two-pass parser that ``parse_instance`` replaced, kept as the
+    reference: it stages every line, then checks the vertex and edge lines
+    after the header, and reads fields with plain ``int()``."""
+    header = None
+    vlines: list[tuple[int, list[str]]] = []
+    elines: list[tuple[int, list[str]]] = []
+    for no, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if header is not None:
+                raise ParseError("duplicate header", no)
+            if len(parts) != 8 or parts[1] != "degedit":
+                raise ParseError("header must be 'p degedit n m k_v k_e C variant'", no)
+            try:
+                header = [int(x) for x in parts[2:]]
+            except ValueError:
+                raise ParseError("non-integer header field", no)
+        elif parts[0] == "v":
+            if header is None:
+                raise ParseError("vertex line before header", no)
+            vlines.append((no, parts[1:]))
+        elif parts[0] == "e":
+            if header is None:
+                raise ParseError("edge line before header", no)
+            elines.append((no, parts[1:]))
+        else:
+            raise ParseError(f"unknown record type {parts[0]!r}", no)
+    if header is None:
+        raise ParseError("missing 'p degedit' header")
+    n, m, k_v, k_e, cbudget, variant_flag = header
+    if variant_flag not in (0, 1):
+        raise ParseError("variant flag must be 0 (plain) or 1 (connected)")
+    if min(k_v, k_e, cbudget) < 0:
+        raise ParseError("budgets must be non-negative")
+    if len(vlines) != n:
+        raise ParseError(f"expected {n} vertex lines, found {len(vlines)}")
+    if len(elines) != m:
+        raise ParseError(f"expected {m} edge lines, found {len(elines)}")
+
+    delta, weight_v, cost_v = {}, {}, {}
+    for no, fields in vlines:
+        if len(fields) != 4:
+            raise ParseError("vertex line must be 'v id delta weight cost'", no)
+        try:
+            vid, dl, w, c = (int(x) for x in fields)
+        except ValueError:
+            raise ParseError("non-integer vertex field", no)
+        if not 1 <= vid <= n:
+            raise ParseError(f"vertex id {vid} out of range 1..{n}", no)
+        if vid in delta:
+            raise ParseError(f"duplicate vertex {vid}", no)
+        if w < 1:
+            raise ParseError(f"vertex weight must be >= 1, got {w}", no)
+        if dl < 0 or c < 0:
+            raise ParseError("delta and cost must be non-negative", no)
+        delta[vid], weight_v[vid], cost_v[vid] = dl, w, c
+
+    edges, weight_e, cost_e = [], {}, {}
+    for no, fields in elines:
+        if len(fields) != 4:
+            raise ParseError("edge line must be 'e u v weight cost'", no)
+        try:
+            u, v, w, c = (int(x) for x in fields)
+        except ValueError:
+            raise ParseError("non-integer edge field", no)
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(f"edge ({u}, {v}) out of range", no)
+        if u >= v:
+            raise ParseError(f"edge endpoints must satisfy u < v, got ({u}, {v})", no)
+        if (u, v) in weight_e:
+            raise ParseError(f"duplicate edge ({u}, {v})", no)
+        if w < 1:
+            raise ParseError(f"edge weight must be >= 1, got {w}", no)
+        if c < 0:
+            raise ParseError("edge cost must be non-negative", no)
+        edges.append((u, v))
+        weight_e[(u, v)], cost_e[(u, v)] = w, c
+
+    graph = Graph(range(1, n + 1), edges)
+    if not is_planar(graph):
+        raise ParseError("graph is not planar")
+    return Instance(graph, delta, weight_v, weight_e, cost_v, cost_e,
+                    k_v, k_e, cbudget, CONNECTED if variant_flag else PLAIN)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as ex:
+        return ("error", str(ex), ex.line)
+
+
+INTEGER_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def _newly_rejected(text, line):
+    """Whether that line holds a field int() reads but the grammar rejects,
+    or (line None) the header has a negative vertex or edge count."""
+    stripped = [ln.split("#", 1)[0].split() for ln in text.splitlines()]
+    if line is None:
+        header = next(parts for parts in stripped if parts[:1] == ["p"])
+        return int(header[2]) < 0 or int(header[3]) < 0
+    fields = stripped[line - 1][1:]
+    if fields[:1] == ["degedit"]:
+        fields = fields[1:]
+
+    def int_reads(token):
+        try:
+            int(token)
+            return True
+        except ValueError:
+            return False
+    return any(int_reads(t) and not INTEGER_TOKEN.fullmatch(t) for t in fields)
+
+
+def assert_matches_reference(text):
+    """Same Instance or same error as the reference parser, except where a
+    newly rejected token or count explains a new error."""
+    got = _outcome(parse_instance, text)
+    want = _outcome(reference_parse_instance, text)
+    if got == want:
+        return
+    assert isinstance(got, tuple), (text, got, want)
+    message = got[1].split(": ", 1)[-1]
+    assert message in ("non-integer header field", "non-integer vertex field",
+                       "non-integer edge field",
+                       "vertex and edge counts must be non-negative"), (text, got, want)
+    assert _newly_rejected(text, got[2]), (text, got, want)
 
 
 TRIANGLE = """\
@@ -50,6 +187,9 @@ def test_k5_rejected_nonplanar():
     ("p degedit 0 0 0 -1 0 0", "budgets must be non-negative"),
     ("v 1 0 1 0", "before header"),
     ("p degedit 0 0 0 0 0 0\nq zzz", "unknown record"),
+    ("p degedit -1 0 0 0 0 0", "vertex and edge counts must be non-negative"),
+    ("p degedit 0 -2 0 0 0 0", "vertex and edge counts must be non-negative"),
+    ("p degedit -1 0 0 0 0 0\nv 1 0 1 0", "vertex and edge counts must be non-negative"),
 ])
 def test_parse_errors(mutation, message):
     with pytest.raises(ParseError, match=message):
@@ -66,13 +206,61 @@ def test_parse_rejects_zero_weight_and_duplicates():
         parse_instance(dup)
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("p degedit 1 0 0 0 0 0\nv 1 0 1_0 0", 2, "non-integer vertex field"),
+    ("p degedit 1 0 0 0 0 0\nv +1 0 1 0", 2, "non-integer vertex field"),
+    ("p degedit 1 0 0 0 0 0\nv 1 \u0661 1 0", 2, "non-integer vertex field"),
+    ("p degedit 2 1 0 0 0 0\nv 1 1 1 0\nv 2 1 1 0\ne 1 2 1 +0", 4,
+     "non-integer edge field"),
+    ("p degedit 2 1 0 0 0 0\nv 1 1 1 0\nv 2 1 1 0\ne 1 \uff12 1 0", 4,
+     "non-integer edge field"),
+    ("p degedit +1 0 0 0 0 0\nv 1 0 1 0", 1, "non-integer header field"),
+    ("# +1_0 \u00e9\np degedit 0 0 0 0 1_0 0", 2, "non-integer header field"),
+    # the first bad vertex line is reported before a later bad edge line
+    ("p degedit 2 1 0 0 0 0\ne 1 2 1 1_0\nv 1 1 1 0\nv 2 1 1_0 0", 4,
+     "non-integer vertex field"),
+])
+def test_parse_rejects_integer_syntax_beyond_the_grammar(text, line, message):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_instance(text)
+    assert info.value.line == line
+    assert isinstance(reference_parse_instance(text), Instance)
+
+
+def test_comments_may_hold_any_text():
+    text = TRIANGLE.replace("v 2 2 1 0", "v 2 2 1 0  # +1_0 \u00e9 \u0661")
+    assert parse_instance(text) == parse_instance(TRIANGLE)
+
+
 def test_round_trip_generated_corpus():
     rng = random.Random(9)
     for i in range(1000):
         inst = generate_random_planar_instance(
             rng.randint(0, 10), rng.randint(0, 3), rng.randint(0, 3),
             rng.randint(0, 9), rng.choice((PLAIN, CONNECTED)), seed=i)
-        assert parse_instance(write_instance(inst)) == inst
+        text = write_instance(inst)
+        assert parse_instance(text) == reference_parse_instance(text) == inst
+
+
+def test_planted_files_match_reference_in_any_line_order():
+    rng = random.Random(12)
+    for seed in range(40):
+        lines = write_instance(_planted(606_000 + seed)).splitlines()
+        body = lines[1:]
+        rng.shuffle(body)
+        for text in ("\n".join(lines), "\n".join(lines[:1] + body)):
+            inst = parse_instance(text)
+            assert inst == reference_parse_instance(text)
+            g = inst.graph
+            assert list(g.edge_set()) == list(frozenset(g.edges()))
+            # one bad field on a random vertex or edge line, in a file whose
+            # lines may come in any order
+            bad = list(text.splitlines())
+            i = rng.randrange(1, len(bad))
+            parts = bad[i].split()
+            parts[rng.randrange(1, len(parts))] = rng.choice(("0", "-1", "x", "99999"))
+            bad[i] = " ".join(parts)
+            assert_matches_reference("\n".join(bad))
 
 
 def test_generator_deterministic_and_planar():
@@ -125,7 +313,7 @@ def test_write_parse_round_trip_keeps_every_field(inst):
 
 TOKENS = st.one_of(
     st.sampled_from(["p", "v", "e", "degedit", "#", "x", "0", "1", "-1",
-                     "1.5", "9" * 5000]),
+                     "1.5", "9" * 5000, "+2", "1_0", "\u0663", "-0", "\u00e9"]),
     st.integers(-3, 14).map(str),
     st.text(alphabet=" \t0123456789-+#pvex", max_size=12))
 
@@ -147,7 +335,4 @@ def test_one_line_mutation_parses_or_raises_parse_error(inst, data):
         parts = lines[i].split()
         parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(TOKENS)
         lines[i] = " ".join(parts)
-    try:
-        parse_instance("\n".join(lines) + "\n")
-    except ParseError:
-        pass
+    assert_matches_reference("\n".join(lines) + "\n")
