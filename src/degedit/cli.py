@@ -50,7 +50,7 @@ def _solve_with(inst, method: str, width_cap: int) -> Solution | None:
     # its DP reads it; to_nice itself only checks the tree structure
     if method == "dp":
         ntd = to_nice(decompose(inst.graph))
-        return solve_auto(inst, ntd, enforce_window=False)
+        return solve_auto(inst, ntd)
     if method == "brute":
         rep = brute_force_min_cost(inst)
         return rep.best() if rep.feasible else None
@@ -63,7 +63,7 @@ def _solve_with(inst, method: str, width_cap: int) -> Solution | None:
     if ntd.width > width_cap and target is not inst:
         target, ntd = inst, to_nice(decompose(inst.graph))
     if ntd.width <= width_cap:
-        return solve_auto(target, ntd, enforce_window=False)
+        return solve_auto(target, ntd)
     if inst.graph.n <= DEFAULT_VERTEX_CAP and inst.graph.m <= DEFAULT_EDGE_CAP:
         rep = brute_force_min_cost(inst)
         return rep.best() if rep.feasible else None

@@ -550,11 +550,9 @@ def active_region(inst: Instance) -> Instance | None:
                     inst.variant)
 
 
-def _solve(inst: Instance, ntd, variant: str, enforce_window: bool) -> Solution | None:
+def _solve(inst: Instance, ntd, variant: str) -> Solution | None:
     if inst.variant != variant:
         raise ValueError(f"instance variant is {inst.variant!r}, expected {variant!r}")
-    if enforce_window and not inst.in_degree_window():
-        raise ValueError("degrees violate the solvable window; normalize first")
     if ntd is None:
         inst = active_region(inst)
         if inst is None:
@@ -562,20 +560,20 @@ def _solve(inst: Instance, ntd, variant: str, enforce_window: bool) -> Solution 
     return PreparedSolve(inst, ntd).solve()
 
 
-def solve_dpggd_tw(inst: Instance, ntd: NiceTreeDecomposition | None = None,
-                   *, enforce_window: bool = True) -> Solution | None:
+def solve_dpggd_tw(inst: Instance, ntd: NiceTreeDecomposition | None = None
+                   ) -> Solution | None:
     """Minimum-cost efficient solution of a plain instance, or None."""
-    return _solve(inst, ntd, PLAIN, enforce_window)
+    return _solve(inst, ntd, PLAIN)
 
 
-def solve_dcpggd_tw(inst: Instance, ntd: NiceTreeDecomposition | None = None,
-                    *, enforce_window: bool = True) -> Solution | None:
+def solve_dcpggd_tw(inst: Instance, ntd: NiceTreeDecomposition | None = None
+                    ) -> Solution | None:
     """Connected variant of ``solve_dpggd_tw``."""
-    return _solve(inst, ntd, CONNECTED, enforce_window)
+    return _solve(inst, ntd, CONNECTED)
 
 
-def solve_auto(inst: Instance, ntd: NiceTreeDecomposition | None = None,
-               *, enforce_window: bool = True) -> Solution | None:
+def solve_auto(inst: Instance, ntd: NiceTreeDecomposition | None = None
+               ) -> Solution | None:
     if inst.connected_variant:
-        return solve_dcpggd_tw(inst, ntd, enforce_window=enforce_window)
-    return solve_dpggd_tw(inst, ntd, enforce_window=enforce_window)
+        return solve_dcpggd_tw(inst, ntd)
+    return solve_dpggd_tw(inst, ntd)

@@ -149,18 +149,17 @@ class Graph:
         return Graph._from_adj(adj)
 
     def delete_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise ValueError(f"no such edge: ({u}, {v})")
-        adj = dict(self._adj)
-        adj[u] = adj[u] - {v}
-        adj[v] = adj[v] - {u}
-        return Graph._from_adj(adj)
+        return self.delete_edges([(u, v)])
 
     def delete_edges(self, es: Iterable[tuple[int, int]]) -> "Graph":
-        g = self
+        """Delete es one after another on one copy of the adjacency."""
+        adj = dict(self._adj)
         for u, v in es:
-            g = g.delete_edge(u, v)
-        return g
+            if u not in adj or v not in adj[u]:
+                raise ValueError(f"no such edge: ({u}, {v})")
+            adj[u] = adj[u] - {v}
+            adj[v] = adj[v] - {u}
+        return Graph._from_adj(adj)
 
     def contract_edge(self, u: int, v: int, new_id: int | None = None) -> tuple["Graph", int]:
         """Contract edge uv into a fresh vertex; parallel edges merge.

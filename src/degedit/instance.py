@@ -76,14 +76,18 @@ class Instance:
 
 # -- instance edits --------------------------------------------------------------
 #
-# Every rewrite rule (normalization and kernel reduction) edits an instance
-# through these functions; each returns a fresh, re-validated instance.
+# Every rewrite step (normalization and kernel reduction) changes its instance
+# with one of these edits; only s-contraction-2 and t-prime-contraction chain
+# a few.  Each builds one fresh, re-validated instance, and ``contract`` does
+# its own target arithmetic.
 
 
-def delete_vertices(inst: Instance, vs: Iterable[int], *, charge: bool
+def delete_vertices(inst: Instance, vs: Iterable[int], *, charge: bool,
+                    delta_updates: Mapping[int, int] | None = None
                     ) -> Instance | None:
-    """Remove vs, optionally paying their weight and cost; None when a
-    charged removal would drive a budget negative."""
+    """Remove vs, optionally paying their weight and cost, and set the
+    surviving targets in ``delta_updates``; None when a charged removal
+    would drive a budget negative."""
     vs = frozenset(vs)
     k_v, cbudget = inst.k_v, inst.cost_budget
     if charge:
@@ -93,8 +97,10 @@ def delete_vertices(inst: Instance, vs: Iterable[int], *, charge: bool
             return None
     g = inst.graph.delete_vertices(vs)
     keep_e = g.edge_set()
-    return replace(inst, graph=g,
-                   delta={v: inst.delta[v] for v in g.vertices},
+    delta = {v: inst.delta[v] for v in g.vertices}
+    if delta_updates:
+        delta.update(delta_updates)
+    return replace(inst, graph=g, delta=delta,
                    weight_v={v: inst.weight_v[v] for v in g.vertices},
                    weight_e={e: inst.weight_e[e] for e in keep_e},
                    cost_v={v: inst.cost_v[v] for v in g.vertices},
@@ -102,37 +108,42 @@ def delete_vertices(inst: Instance, vs: Iterable[int], *, charge: bool
                    k_v=k_v, cost_budget=cbudget)
 
 
-def with_delta(inst: Instance, updates: Mapping[int, int]) -> Instance:
-    delta = dict(inst.delta)
-    delta.update(updates)
-    return replace(inst, delta=delta)
-
-
-def delete_edge(inst: Instance, e: tuple[int, int],
-                delta_updates: Mapping[int, int]) -> Instance:
-    g = inst.graph.delete_edge(*e)
+def delete_edges(inst: Instance, es: Iterable[tuple[int, int]],
+                 delta_updates: Mapping[int, int]) -> Instance:
+    """Remove the edges es (given as ``edge_key`` pairs) and set the targets
+    in ``delta_updates``."""
+    es = list(es)
+    drop = frozenset(es)
     delta = dict(inst.delta)
     delta.update(delta_updates)
-    weight_e = {x: wgt for x, wgt in inst.weight_e.items() if x != e}
-    cost_e = {x: c for x, c in inst.cost_e.items() if x != e}
-    return replace(inst, graph=g, delta=delta, weight_e=weight_e, cost_e=cost_e)
+    return replace(inst, graph=inst.graph.delete_edges(es), delta=delta,
+                   weight_e={e: w for e, w in inst.weight_e.items() if e not in drop},
+                   cost_e={e: c for e, c in inst.cost_e.items() if e not in drop})
 
 
-def contract(inst: Instance, a: int, b: int, z: int, *, delta_z: int,
-             weight_z: int, cost_z: int, edge_policy,
-             delta_updates: Mapping[int, int]) -> Instance:
-    """Contract edge ab into z.  ``edge_policy`` is ("fixed", w, c) to
-    restamp every edge at z, or "inherit" (requires no merged parallels)."""
+def contract(inst: Instance, a: int, b: int, z: int, *, slack: int,
+             weight_z: int, cost_z: int, edge_policy) -> Instance | None:
+    """Contract edge ab into z.
+
+    z's target is |N(a) ∪ N(b) − {a, b}| − ``slack``, and every common
+    neighbour of a and b loses one target degree (not below 0); None when
+    z's target would be negative.  ``edge_policy`` is ("fixed", w, c) to
+    restamp every edge at z, or "inherit" (requires no common neighbour).
+    """
     g = inst.graph
-    if edge_policy == "inherit":
-        common = (g.neighbors(a) & g.neighbors(b)) - {a, b}
-        if common:
-            raise RuntimeError("inherit policy with merged parallel edges")
+    na, nb = g.neighbors(a), g.neighbors(b)
+    delta_z = len((na | nb) - {a, b}) - slack
+    if delta_z < 0:
+        return None
+    common = na & nb
+    if edge_policy == "inherit" and common:
+        raise RuntimeError("inherit policy with merged parallel edges")
     g2, minted = g.contract_edge(a, b, new_id=z)
     if minted != z:
         raise RuntimeError(f"contraction minted {minted}, expected {z}")
     delta = {v: inst.delta[v] for v in g2.vertices if v != z}
-    delta.update({v: t for v, t in delta_updates.items() if v in delta})
+    for x in common:
+        delta[x] = max(0, delta[x] - 1)
     delta[z] = delta_z
     weight_v = {v: inst.weight_v[v] for v in g2.vertices if v != z}
     weight_v[z] = weight_z

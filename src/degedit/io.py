@@ -1,6 +1,7 @@
 """Line-oriented instance file format and solution printing.
 
-Grammar (``#`` starts a comment, blank lines ignored)::
+Grammar (``#`` starts a comment, blank lines ignored; a line ends only at
+LF, CR LF or CR, as in a text-mode read)::
 
     p degedit <n> <m> <k_v> <k_e> <C> <variant:0|1>
     v <id> <delta> <weight> <cost>          -- n lines, ids 1..n
@@ -61,7 +62,11 @@ def parse_instance(text: str) -> Instance:
     weight_e, cost_e = {}, {}
     bad_v = bad_e = None        # (message, line number) of the first rejected line
     extra_v = extra_e = 0       # lines of that kind from the rejected one on
-    for no, line in enumerate(text.splitlines(), 1):
+    # only LF, CR LF and CR end a line (str.splitlines would also end one at
+    # \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029, inside comments too)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for no, line in enumerate(text.split("\n"), 1):
         if comments:
             line = line.split("#", 1)[0]
         parts = line.split()

@@ -8,9 +8,12 @@ licenses the reduction rules that shrink everything outside them.
 
 The fifteen reduction rules are handlers on the rewrite state that
 normalization also runs on (``normalize.KernelState``): each changes the
-instance through ``commit``, decides it through ``decide``, or does not
-apply, and every step is logged with before/after instance snapshots so
-suites can replay single steps against the oracle.  Oversized part
+instance through ``commit`` (with one edit from ``degedit.instance``, or a
+short chain of them), decides it through ``decide``, or does not apply, and
+every step is logged with before/after instance snapshots so suites can
+replay single steps against the oracle.  The rules run in the phases of
+``PLAIN_PHASES`` and ``CONNECTED_PHASES``, each phase one ``KernelState.run``
+over its rules, the same loop normalization uses.  Oversized part
 boundaries fall back to taking the whole part as candidates: that costs
 only the size guarantee (the ``certified`` flag), never equivalence.
 """
@@ -24,9 +27,9 @@ from .dpsolve import PreparedSolve
 from .errors import CapacityError
 from .graph import Graph, edge_key, is_planar, verify_bipartite_planar_bound
 from .instance import (CONNECTED, PLAIN, Instance, add_pendant, contract,
-                       delete_edge, delete_vertices, with_delta)
-from .normalize import (CHANGED, DECIDED_NO, DECIDED_YES, NORMALIZED,
-                        NOT_APPLICABLE, KernelState, RuleEvent, normalize)
+                       delete_edges, delete_vertices)
+from .normalize import (DECIDED_NO, DECIDED_YES, NORMALIZED, NOT_APPLICABLE,
+                        KernelState, RuleEvent, normalize)
 from .protrusion import (Part, ProtrusionDecomposition,
                          build_protrusion_decomposition,
                          greedy_2_dominating_set, is_r_dominating)
@@ -37,13 +40,17 @@ KERNEL = "kernel"
 DEFAULT_ALPHA_CAP_PLAIN = 3
 DEFAULT_ALPHA_CAP_CONNECTED = 2
 
-PLAIN_RULES = ("set-adjustment", "weight-adjustment", "s-reduction",
-               "t-prime-reduction", "twin-reduction")
-CONNECTED_RULES = ("set-adjustment-c", "vertex-deletion-c", "s-neighbour",
-                   "s-contraction-1", "stopping", "weight-adjustment-c",
-                   "s-deletion", "s-contraction-2", "t-prime-deletion",
-                   "t-prime-contraction")
-KERNEL_RULES = PLAIN_RULES + CONNECTED_RULES
+# The reduction phases in order; each phase is one ``KernelState.run`` over
+# its rules, so a two-rule phase exhausts the first rule, applies the second
+# once and repeats while the second changes the instance.
+PLAIN_PHASES = (("set-adjustment",), ("weight-adjustment",), ("s-reduction",),
+                ("t-prime-reduction",), ("twin-reduction",))
+CONNECTED_PHASES = (("set-adjustment-c", "vertex-deletion-c"), ("s-neighbour",),
+                    ("s-contraction-1",), ("stopping",), ("weight-adjustment-c",),
+                    ("s-deletion", "s-contraction-2"),
+                    ("t-prime-deletion", "t-prime-contraction"))
+KERNEL_RULES = tuple(rule for phase in PLAIN_PHASES + CONNECTED_PHASES
+                     for rule in phase)
 
 
 def alpha_cap_for(variant: str) -> int:
@@ -323,9 +330,9 @@ def _rule_s_reduction(state: KernelState) -> str:
     nbrs = sorted(inst.graph.neighbors(v))
     if any(inst.delta[u] - 1 < 0 for u in nbrs):
         return state.decide("s-reduction", (v,), DECIDED_NO)
-    step = with_delta(inst, {u: inst.delta[u] - 1 for u in nbrs})
-    return state.commit("s-reduction", (v,),
-                        delete_vertices(step, [v], charge=False))
+    return state.commit("s-reduction", (v,), delete_vertices(
+        inst, [v], charge=False,
+        delta_updates={u: inst.delta[u] - 1 for u in nbrs}))
 
 
 def _tprime(state: KernelState) -> set[int]:
@@ -342,8 +349,8 @@ def _rule_t_prime_reduction(state: KernelState) -> str:
     u, v = inner[0]
     if inst.delta[u] - 1 < 0 or inst.delta[v] - 1 < 0:
         return state.decide("t-prime-reduction", (u, v), DECIDED_NO)
-    return state.commit("t-prime-reduction", (u, v), delete_edge(
-        inst, (u, v), {u: inst.delta[u] - 1, v: inst.delta[v] - 1}))
+    return state.commit("t-prime-reduction", (u, v), delete_edges(
+        inst, [(u, v)], {u: inst.delta[u] - 1, v: inst.delta[v] - 1}))
 
 
 def _rule_twin_reduction(state: KernelState) -> str:
@@ -356,11 +363,10 @@ def _rule_twin_reduction(state: KernelState) -> str:
                 continue
             if inst.delta[u] != inst.delta[v]:
                 return state.decide("twin-reduction", (u, v), DECIDED_NO)
-            updates = {x: max(0, inst.delta[x] - 1)
-                       for x in g.neighbors(u)}
-            step = with_delta(inst, updates)
-            return state.commit("twin-reduction", (u, v),
-                                delete_vertices(step, [v], charge=False))
+            return state.commit("twin-reduction", (u, v), delete_vertices(
+                inst, [v], charge=False,
+                delta_updates={x: max(0, inst.delta[x] - 1)
+                               for x in g.neighbors(u)}))
     return NOT_APPLICABLE
 
 
@@ -419,18 +425,13 @@ def _rule_s_contraction_1(state: KernelState) -> str:
             continue
         u = partners[0]
         a, b = min(u, v), max(u, v)
-        common = (g.neighbors(a) & g.neighbors(b)) - {a, b}
-        updates = {}
-        for x in common:
-            if inst.delta[x] < 2:
-                raise RuntimeError("common neighbour below two targets")
-            updates[x] = inst.delta[x] - 1
+        if any(inst.delta[x] < 2 for x in g.neighbors(a) & g.neighbors(b)):
+            raise RuntimeError("common neighbour below two targets")
         z = state.next_id
         state.next_id += 1
-        new_deg = len((g.neighbors(a) | g.neighbors(b)) - {a, b})
         return state.commit("s-contraction-1", (a, b, z), contract(
-            inst, a, b, z, delta_z=new_deg, weight_z=inst.k_v + 1, cost_z=0,
-            edge_policy=("fixed", inst.k_e + 1, 0), delta_updates=updates))
+            inst, a, b, z, slack=0, weight_z=inst.k_v + 1, cost_z=0,
+            edge_policy=("fixed", inst.k_e + 1, 0)))
     return NOT_APPLICABLE
 
 
@@ -469,9 +470,9 @@ def _rule_s_deletion(state: KernelState) -> str:
             continue
         if any(inst.delta[x] - 1 < 0 for x in nbrs):
             return state.decide("s-deletion", (v,), DECIDED_NO)
-        step = with_delta(inst, {x: inst.delta[x] - 1 for x in nbrs})
-        return state.commit("s-deletion", (v,),
-                            delete_vertices(step, [v], charge=False))
+        return state.commit("s-deletion", (v,), delete_vertices(
+            inst, [v], charge=False,
+            delta_updates={x: inst.delta[x] - 1 for x in nbrs}))
     return NOT_APPLICABLE
 
 
@@ -499,20 +500,16 @@ def _rule_s_contraction_2(state: KernelState) -> str:
             z = state.next_id
             state.next_id += 1
             minted.append(z)
-            cur = delete_edge(cur, edge_key(v, x), {})
+            cur = delete_edges(cur, [edge_key(v, x)], {})
             cur = add_pendant(cur, z, (v, x), delta_z=2,
                               weight_z=inst.k_v + 1, cost_z=0,
                               edge_weight=inst.k_e + 1, edge_cost=0)
         y = state.next_id
         state.next_id += 1
-        g_cur = cur.graph
-        new_deg = len((g_cur.neighbors(u) | g_cur.neighbors(v)) - {u, v})
-        if new_deg - slack < 0:
+        merged = contract(cur, u, v, y, slack=slack, weight_z=inst.k_v + 1,
+                          cost_z=0, edge_policy="inherit")
+        if merged is None:
             raise RuntimeError("merged target below zero")
-        merged = contract(
-            cur, u, v, y, delta_z=new_deg - slack,
-            weight_z=inst.k_v + 1, cost_z=0,
-            edge_policy="inherit", delta_updates={})
         # candidate edges of u live on at the merged vertex
         state.l = {e if u not in e else edge_key(y, e[0] if e[1] == u else e[1])
                    for e in state.l}
@@ -541,10 +538,10 @@ def _rule_t_prime_deletion(state: KernelState) -> str:
             if (frozenset(g.neighbors(u) & wp),
                     g.degree(u) - inst.delta[u]) != sig_v:
                 continue
-            updates = {x: max(0, inst.delta[x] - 1) for x in g.neighbors(v)}
-            step = with_delta(inst, updates)
-            return state.commit("t-prime-deletion", (v, u),
-                                delete_vertices(step, [v], charge=False))
+            return state.commit("t-prime-deletion", (v, u), delete_vertices(
+                inst, [v], charge=False,
+                delta_updates={x: max(0, inst.delta[x] - 1)
+                               for x in g.neighbors(v)}))
     return NOT_APPLICABLE
 
 
@@ -570,24 +567,19 @@ def _rule_t_prime_contraction(state: KernelState) -> str:
                 break
         if mate is None:
             continue
-        cur = inst
-        for x in sorted(g.neighbors(v) - tp):
-            cur = delete_edge(cur, edge_key(v, x),
-                              {x: max(0, cur.delta[x] - 1)})
-        g_cur = cur.graph
-        y = min(g_cur.neighbors(v))
-        slack = g_cur.degree(y) - cur.delta[y]
-        common = (g_cur.neighbors(v) & g_cur.neighbors(y)) - {v, y}
-        updates = {x: max(0, cur.delta[x] - 1) for x in common}
+        outside = sorted(g.neighbors(v) - tp)
+        cur = delete_edges(inst, [edge_key(v, x) for x in outside],
+                           {x: max(0, inst.delta[x] - 1) for x in outside})
+        y = min(cur.graph.neighbors(v))
         z = state.next_id
         state.next_id += 1
-        new_deg = len((g_cur.neighbors(v) | g_cur.neighbors(y)) - {v, y})
-        if new_deg - slack < 0:
+        out = contract(cur, min(v, y), max(v, y), z,
+                       slack=cur.graph.degree(y) - cur.delta[y],
+                       weight_z=inst.k_v + 1, cost_z=0,
+                       edge_policy=("fixed", inst.k_e + 1, 0))
+        if out is None:
             return state.decide("t-prime-contraction", (v, mate, y), DECIDED_NO)
-        return state.commit("t-prime-contraction", (v, mate, y, z), contract(
-            cur, min(v, y), max(v, y), z, delta_z=new_deg - slack,
-            weight_z=inst.k_v + 1, cost_z=0,
-            edge_policy=("fixed", inst.k_e + 1, 0), delta_updates=updates))
+        return state.commit("t-prime-contraction", (v, mate, y, z), out)
     return NOT_APPLICABLE
 
 
@@ -610,39 +602,21 @@ _RULE_HANDLERS = {
 }
 
 
-def _exhaust(state: KernelState, rule: str) -> None:
-    while state.decided is None:
-        if _RULE_HANDLERS[rule](state) != CHANGED:
-            break
-
-
-def _exhaust_then(state: KernelState, rule: str, then: str) -> None:
-    """Exhaust ``rule``, apply ``then`` once; repeat while ``then`` changes
-    the instance."""
-    while state.decided is None:
-        _exhaust(state, rule)
-        if state.decided or _RULE_HANDLERS[then](state) != CHANGED:
-            break
+def _reduce(inst: Instance, cs: CandidateSets, phases) -> KernelState:
+    state = KernelState(inst, set(cs.vertices), set(cs.edges))
+    for phase in phases:
+        state.run([_RULE_HANDLERS[rule] for rule in phase])
+    return state
 
 
 def reduce_dpggd(inst: Instance, cs: CandidateSets) -> KernelState:
     """Run the plain-variant reduction phases on a normalized instance."""
-    state = KernelState(inst, set(cs.vertices), set(cs.edges))
-    for rule in PLAIN_RULES:
-        _exhaust(state, rule)
-    return state
+    return _reduce(inst, cs, PLAIN_PHASES)
 
 
 def reduce_dcpggd(inst: Instance, cs: CandidateSets) -> KernelState:
     """Run the connected-variant reduction phases on a normalized instance."""
-    state = KernelState(inst, set(cs.vertices), set(cs.edges))
-    _exhaust_then(state, "set-adjustment-c", "vertex-deletion-c")
-    for rule in ("s-neighbour", "s-contraction-1", "stopping",
-                 "weight-adjustment-c"):
-        _exhaust(state, rule)
-    _exhaust_then(state, "s-deletion", "s-contraction-2")
-    _exhaust_then(state, "t-prime-deletion", "t-prime-contraction")
-    return state
+    return _reduce(inst, cs, CONNECTED_PHASES)
 
 
 # -- the full pipeline ----------------------------------------------------------

@@ -4,15 +4,18 @@
 instance, the candidate sets W and L (empty during normalization), the next
 id the kernel rules mint, and the event log.  A rule is a handler on that
 state; it either changes the instance through ``commit``, decides it
-through ``decide``, or reports that it does not apply.
+through ``decide``, or reports that it does not apply.  ``KernelState.run``
+is the one fixpoint loop over an ordered list of handlers, for the
+normalization rules here and for each reduction phase in ``kernelize``.
 
 A normalized instance satisfies two output conditions: every degree lies in
 the window ``[delta(v), delta(v) + k_v + k_e]``, and every vertex already at
-its target degree has a neighbour that is not.  Normalization repeatedly
-applies six safe rewrite rules (decide-yes, forced vertex deletion,
-contraction of satisfied clusters, isolate removal, plus the connected
-variants of the decision rules) until none applies; each rule either decides
-the instance or removes exactly one vertex, so the process terminates.  A
+its target degree has a neighbour that is not.  Normalization runs six
+safe rewrite rules (decide-yes, forced vertex deletion, contraction of
+satisfied clusters, isolate removal, plus the connected variants of the
+decision rules), four per variant in the order of ``_RULE_ORDER``, through
+``KernelState.run`` until none applies; each rule either decides the
+instance or removes exactly one vertex, so the process terminates.  A
 yes-decision's witness is read back from the event log.
 """
 
@@ -85,6 +88,13 @@ class KernelState:
         self.decided = verdict
         return verdict
 
+    def run(self, handlers) -> None:
+        """Apply the first handler that applies, then start again from the
+        first; stop when none applies or one decides the instance."""
+        while self.decided is None:
+            if all(rule(self) == NOT_APPLICABLE for rule in handlers):
+                return
+
     def satisfied(self) -> set[int]:
         g = self.inst.graph
         return {v for v in g.vertices
@@ -153,15 +163,11 @@ def _rule_contraction(state: KernelState) -> str:
             # whole neighbourhood becomes undeletable; every common
             # neighbour is satisfied and loses one degree
             u = min(g.neighbors(v))
-            nu, nv = g.neighbors(u), g.neighbors(v)
-            out = contract(
-                inst, u, v, max(g.vertices) + 1,
-                delta_z=len((nu | nv) - {u, v}),
+            return state.commit(CONTRACTION, (u, v), contract(
+                inst, u, v, max(g.vertices) + 1, slack=0,
                 weight_z=inst.weight_v[u] + inst.weight_v[v],
                 cost_z=inst.cost_v[u] + inst.cost_v[v],
-                edge_policy=("fixed", inst.k_e + 1, 0),
-                delta_updates={x: inst.delta[x] - 1 for x in nu & nv})
-            return state.commit(CONTRACTION, (u, v), out)
+                edge_policy=("fixed", inst.k_e + 1, 0)))
     return NOT_APPLICABLE
 
 
@@ -201,24 +207,22 @@ _RULE_HANDLERS = {
 }
 
 
+_RULE_ORDER = {
+    PLAIN: (YES_INSTANCE, VERTEX_DELETION, CONTRACTION, ISOLATES_REMOVAL),
+    CONNECTED: (YES_INSTANCE_CONNECTED, VERTEX_DELETION, CONTRACTION,
+                ISOLATES_REMOVAL_CONNECTED),
+}
+
+
 def apply_rule(state: KernelState, rule: str) -> str:
     """Apply one rule at its first site; mutates the state and logs."""
-    variant = state.inst.variant
-    if rule in (YES_INSTANCE, ISOLATES_REMOVAL) and variant != PLAIN:
-        raise ValueError(f"rule {rule!r} only applies to the plain variant")
-    if rule in (YES_INSTANCE_CONNECTED, ISOLATES_REMOVAL_CONNECTED) \
-            and variant != CONNECTED:
-        raise ValueError(f"rule {rule!r} only applies to the connected variant")
     if rule not in _RULE_HANDLERS:
         raise ValueError(f"unknown rule: {rule!r}")
+    variant = state.inst.variant
+    if rule not in _RULE_ORDER[variant]:
+        other = CONNECTED if variant == PLAIN else PLAIN
+        raise ValueError(f"rule {rule!r} only applies to the {other} variant")
     return _RULE_HANDLERS[rule](state)
-
-
-def _rule_order(variant: str) -> tuple[str, ...]:
-    if variant == CONNECTED:
-        return (YES_INSTANCE_CONNECTED, VERTEX_DELETION, CONTRACTION,
-                ISOLATES_REMOVAL_CONNECTED)
-    return (YES_INSTANCE, VERTEX_DELETION, CONTRACTION, ISOLATES_REMOVAL)
 
 
 def _lift_witness(log: tuple[RuleEvent, ...]) -> frozenset[int]:
@@ -247,16 +251,15 @@ def _lift_witness(log: tuple[RuleEvent, ...]) -> frozenset[int]:
 def normalize(inst: Instance) -> NormalizeOutcome:
     """Exhaust the rewrite rules; decide the instance or emit normal form.
 
-    After each change the rules restart from the first one in order.
+    One ``KernelState.run`` over the variant's rules in ``_RULE_ORDER``:
+    after each change the rules restart from the first one in order.
     Decisions carry witnesses lifted back to the original vertex ids.
     """
     state = KernelState(inst)
-    order = _rule_order(inst.variant)
-    while state.decided is None:
-        if all(apply_rule(state, rule) == NOT_APPLICABLE for rule in order):
-            return NormalizeOutcome(NORMALIZED, instance=state.inst,
-                                    log=tuple(state.events))
+    state.run([_RULE_HANDLERS[rule] for rule in _RULE_ORDER[inst.variant]])
     log = tuple(state.events)
+    if state.decided is None:
+        return NormalizeOutcome(NORMALIZED, instance=state.inst, log=log)
     if state.decided == DECIDED_YES:
         return NormalizeOutcome(
             DECIDED_YES, witness=Solution.of(inst, _lift_witness(log)), log=log)

@@ -61,14 +61,15 @@ def test_p3_connected_delete_everything():
     assert ((1, 2, 3), ()) in {s.canonical() for s in rep.optima}
 
 
-def test_variant_and_window_guards():
+def test_variant_guard_and_out_of_window_input():
     inst = cycle_instance(4, 1, k_e=2, cost_budget=2)
     with pytest.raises(ValueError, match="variant"):
         solve_dcpggd_tw(inst)
-    bad = path_instance(3, 2)  # endpoints cannot reach target 2
-    with pytest.raises(ValueError, match="window"):
-        solve_dpggd_tw(bad)
-    assert solve_dpggd_tw(bad, enforce_window=False) is None
+    # endpoints cannot reach target 2: outside the degree window the DP
+    # still answers, here with no solution
+    bad = path_instance(3, 2)
+    assert not bad.in_degree_window()
+    assert solve_dpggd_tw(bad) is None
 
 
 def test_solve_auto_rejects_decomposition_missing_an_edge():
@@ -78,7 +79,7 @@ def test_solve_auto_rejects_decomposition_missing_an_edge():
     td = TreeDecomposition((frozenset({1, 2}), frozenset({3})),
                            frozenset({(0, 1)}))
     with pytest.raises(ValueError, match="invalid decomposition"):
-        solve_auto(inst, to_nice(td), enforce_window=False)
+        solve_auto(inst, to_nice(td))
 
 
 def _ntd(inst):
@@ -131,11 +132,11 @@ def test_process_node_introduce_charges_edge_budget():
         assert k[4] == inst.weight_e[(1, 2)]  # spent edge weight
 
 
-def _oracle_mismatches(corpus, enforce_window=True):
+def _oracle_mismatches(corpus):
     mism = []
     for inst in corpus:
         rep = brute_force_min_cost(inst)
-        sol = solve_auto(inst, enforce_window=enforce_window)
+        sol = solve_auto(inst)
         if rep.feasible != (sol is not None):
             mism.append((inst, rep.feasible, sol))
         elif rep.feasible and rep.min_cost != sol.total_cost:
@@ -164,7 +165,7 @@ def test_dp_matches_oracle_on_raw_targets():
     for variant in (PLAIN, CONNECTED):
         assert any(inst.variant == variant and _over_cap(inst)
                    for inst in corpus)
-    mism = _oracle_mismatches(corpus, enforce_window=False)
+    mism = _oracle_mismatches(corpus)
     assert not mism, mism[:3]
 
 
@@ -261,7 +262,7 @@ def test_budget_slices_match_direct_solves():
                     dict(inst.delta), h_v, h_e, inst.cost_budget, inst.variant,
                     weight_v=dict(inst.weight_v), weight_e=dict(inst.weight_e),
                     cost_v=dict(inst.cost_v), cost_e=dict(inst.cost_e))
-                direct = solve_auto(smaller, enforce_window=False)
+                direct = solve_auto(smaller)
                 sliced = ps.solve(h_v, h_e)
                 assert (direct is None) == (sliced is None)
                 if direct is not None:
@@ -322,8 +323,7 @@ def _within(items, weight, budget, rng):
 
 
 def planted_outputs():
-    return "".join(format_solution(solve_auto(_planted(606_000 + i),
-                                              enforce_window=False))
+    return "".join(format_solution(solve_auto(_planted(606_000 + i)))
                    for i in range(60))
 
 
@@ -347,7 +347,7 @@ def _region_kind(inst):
     what the full-graph DP prints."""
     region = active_region(inst)
     full = format_solution(PreparedSolve(inst).solve())
-    assert format_solution(solve_auto(inst, enforce_window=False)) == full, inst
+    assert format_solution(solve_auto(inst)) == full, inst
     if region is None:
         return "no"
     if region is inst:
@@ -390,7 +390,7 @@ def test_region_proves_no_below_target_outside_x():
                          cost_budget=9)
     assert active_region(inst) is None
     assert PreparedSolve(inst).solve() is None
-    assert solve_auto(inst, enforce_window=False) is None
+    assert solve_auto(inst) is None
 
 
 def test_region_keeps_rest_components_apart():
@@ -407,7 +407,7 @@ def test_region_keeps_rest_components_apart():
         region = active_region(inst)
         assert region.graph.sorted_vertices() == [4, 5, 9, 10]
         assert _region_kind(inst) == "split"
-        assert format_solution(solve_auto(inst, enforce_window=False)) == answer
+        assert format_solution(solve_auto(inst)) == answer
 
 
 def test_region_with_no_active_vertex():
@@ -419,4 +419,4 @@ def test_region_with_no_active_vertex():
         inst = make_instance(range(1, 7), edges, 2, k_v=k_v, cost_budget=3,
                              variant=variant)
         assert _region_kind(inst) == ("whole" if k_v else "split")
-        assert format_solution(solve_auto(inst, enforce_window=False)) == answer
+        assert format_solution(solve_auto(inst)) == answer

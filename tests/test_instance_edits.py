@@ -1,14 +1,18 @@
 """Differential tests: the shared instance edits in `degedit.instance`
-against the separate normalize and kernelize helpers they replaced, kept
-here as reference copies."""
+against the helpers they replaced, kept here as reference copies: the
+separate normalize and kernelize helpers, and the ``with_delta``,
+``delete_edge`` and ``contract(delta_z=, delta_updates=)`` edits whose
+arithmetic the rules once wrote out themselves.  Results are compared in
+content, in ``write_instance`` bytes and in the iteration order of every
+dict, vertex view, neighbour set and edge set."""
 
 import random
 
 import pytest
 
-from degedit.graph import edge_key
-from degedit.instance import (Instance, add_pendant, contract, delete_edge,
-                              delete_vertices, with_delta)
+from degedit.graph import Graph, edge_key
+from degedit.instance import (Instance, add_pendant, contract, delete_edges,
+                              delete_vertices)
 from degedit.io import write_instance
 from degedit.kernelize import kernelize
 from degedit.normalize import CONTRACTION, normalize, satisfied_vertices
@@ -99,8 +103,18 @@ def ref_with_delta(inst, updates):
                    inst.cost_v, inst.cost_e)
 
 
+def ref_graph_delete_edge(g, u, v):
+    """``Graph.delete_edge`` as it was: one copy of the adjacency per edge."""
+    if not g.has_edge(u, v):
+        raise ValueError(f"no such edge: ({u}, {v})")
+    adj = dict(g._adj)
+    adj[u] = adj[u] - {v}
+    adj[v] = adj[v] - {u}
+    return Graph._from_adj(adj)
+
+
 def ref_delete_edge(inst, e, delta_updates):
-    g = inst.graph.delete_edge(*e)
+    g = ref_graph_delete_edge(inst.graph, *e)
     delta = dict(inst.delta)
     delta.update(delta_updates)
     weight_e = {x: wgt for x, wgt in inst.weight_e.items() if x != e}
@@ -164,12 +178,45 @@ def ref_add_pendant(inst, z, nbrs, *, delta_z, weight_z, cost_z, edge_weight,
 # -- comparisons ---------------------------------------------------------------
 
 
-def same(new, ref):
+def layout(inst):
+    """Every iteration order an instance exposes."""
+    g = inst.graph
+    return ([list(m.items()) for m in (inst.delta, inst.weight_v, inst.weight_e,
+                                      inst.cost_v, inst.cost_e)],
+            list(g.vertex_keys()), [list(g.neighbors(v)) for v in g.vertex_keys()],
+            list(g.edge_set()))
+
+
+def same(new, ref, *, orders=True):
     if ref is None:
         assert new is None
         return
     assert new == ref
     assert write_instance(new) == write_instance(ref)
+    if orders:
+        assert layout(new) == layout(ref)
+
+
+def ref_delete_edges(inst, es, delta_updates):
+    """Edge deletions the way the rules chained them: one ``delete_edge``
+    per edge, each setting the targets of that edge's ends."""
+    for e in es:
+        inst = ref_delete_edge(inst, e, {x: t for x, t in delta_updates.items()
+                                         if x in e})
+    return inst
+
+
+def ref_contract_slack(inst, a, b, z, *, slack, **kw):
+    """A contraction with the arithmetic the rules wrote out before
+    ``contract`` took it over."""
+    g = inst.graph
+    delta_z = len((g.neighbors(a) | g.neighbors(b)) - {a, b}) - slack
+    if delta_z < 0:
+        return None
+    common = (g.neighbors(a) & g.neighbors(b)) - {a, b}
+    return ref_contract(inst, a, b, z, delta_z=delta_z,
+                        delta_updates={x: max(0, inst.delta[x] - 1) for x in common},
+                        **kw)
 
 
 def test_edits_match_reference_on_random_corpus():
@@ -189,16 +236,25 @@ def test_edits_match_reference_on_random_corpus():
             same(delete_vertices(inst, picked, charge=charge),
                  ref_delete_vertices(inst, picked, charge=charge))
         updates = {v: rng.randint(0, 4) for v in rng.sample(vs, len(vs) // 2)}
-        same(with_delta(inst, updates), ref_with_delta(inst, updates))
+        dropped = [v for v in vs if v not in updates][:1]
+        same(delete_vertices(inst, dropped, charge=False, delta_updates=updates),
+             ref_delete_vertices(ref_with_delta(inst, updates), dropped,
+                                 charge=False))
         nbrs = tuple(rng.sample(vs, min(len(vs), 2)))
         kw = dict(delta_z=rng.randint(0, 2), weight_z=rng.randint(1, 3),
                   cost_z=rng.randint(0, 2), edge_weight=rng.randint(1, 3),
                   edge_cost=rng.randint(0, 2))
         same(add_pendant(inst, fresh, nbrs, **kw),
              ref_add_pendant(inst, fresh, nbrs, **kw))
-        for a, b in g.edges():
+        es = list(g.edges())
+        star = [e for e in es if vs[0] in e]
+        ends = {x: rng.randint(0, 3) for e in star for x in e}
+        same(delete_edges(inst, star, ends), ref_delete_edges(inst, star, ends))
+        picked = rng.sample(es, rng.randint(0, len(es)))
+        same(delete_edges(inst, picked, {}), ref_delete_edges(inst, picked, {}))
+        for a, b in es:
             ends = {a: rng.randint(0, 3), b: rng.randint(0, 3)}
-            same(delete_edge(inst, (a, b), ends),
+            same(delete_edges(inst, [(a, b)], ends),
                  ref_delete_edge(inst, (a, b), ends))
             common = (g.neighbors(a) & g.neighbors(b)) - {a, b}
             policies = [("fixed", inst.k_e + 1, rng.randint(0, 2))]
@@ -206,14 +262,16 @@ def test_edits_match_reference_on_random_corpus():
                 policies.append("inherit")
             else:
                 with pytest.raises(RuntimeError, match="inherit policy"):
-                    contract(inst, a, b, fresh, delta_z=0, weight_z=1,
-                             cost_z=0, edge_policy="inherit", delta_updates={})
+                    contract(inst, a, b, fresh, slack=0, weight_z=1,
+                             cost_z=0, edge_policy="inherit")
+            union = len((g.neighbors(a) | g.neighbors(b)) - {a, b})
             for policy in policies:
-                kw = dict(delta_z=rng.randint(0, 4), weight_z=rng.randint(1, 3),
-                          cost_z=rng.randint(0, 2), edge_policy=policy,
-                          delta_updates={x: rng.randint(0, 3) for x in common})
+                # slack up to one past the union size reaches a negative target
+                kw = dict(slack=rng.randint(0, union + 1),
+                          weight_z=rng.randint(1, 3), cost_z=rng.randint(0, 2),
+                          edge_policy=policy)
                 same(contract(inst, a, b, fresh, **kw),
-                     ref_contract(inst, a, b, fresh, **kw))
+                     ref_contract_slack(inst, a, b, fresh, **kw))
 
 
 def test_normalize_contraction_matches_reference_at_every_site():
@@ -230,7 +288,8 @@ def test_normalize_contraction_matches_reference_at_every_site():
             sites += 1
             with_common += bool(g.neighbors(u) & g.neighbors(v))
             ref, _ = ref_contract_satisfied_pair(ev.before, u, v)
-            same(ev.after, ref)
+            # this helper fills its dicts in vertex order, not minted id last
+            same(ev.after, ref, orders=False)
     assert sites >= 50 and with_common >= 10, (sites, with_common)
 
 

@@ -232,6 +232,40 @@ def test_comments_may_hold_any_text():
     assert parse_instance(text) == parse_instance(TRIANGLE)
 
 
+# the characters besides LF and CR that str.splitlines ends a line at
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                   "\u2029"]
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_BREAKS, ids=ascii)
+def test_comment_runs_to_the_line_break(ch):
+    text = "p degedit 2 0 0 0 0 0\nv 1 1 1 0 # a{}e 1 2 1 1\nv 2 1 1 0\n"
+    inst = parse_instance(text.format(ch))
+    assert inst.graph.m == 0
+    assert inst == parse_instance(text.format(" "))
+    # nor does the character shift the numbers of later lines
+    with pytest.raises(ParseError, match="weight") as info:
+        parse_instance(f"p degedit 1 0 0 0 0 0\n# a{ch}b\nv 1 0 0 0\n")
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_BREAKS, ids=ascii)
+def test_record_runs_to_the_line_break(ch):
+    # outside a comment the character separates fields of one line
+    with pytest.raises(ParseError, match="vertex line must be") as info:
+        parse_instance(f"p degedit 1 0 0 0 0 0\nv 1 0 1 0{ch}e 1 2 1 1\n")
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=ascii)
+def test_crlf_and_cr_files_read_like_lf_files(newline):
+    assert parse_instance(TRIANGLE.replace("\n", newline)) == parse_instance(TRIANGLE)
+    bad = "p degedit 1 0 0 0 0 0\n\n# x\nv 1 0 0 0\n"
+    with pytest.raises(ParseError, match="weight") as info:
+        parse_instance(bad.replace("\n", newline))
+    assert info.value.line == 4
+
+
 def test_round_trip_generated_corpus():
     rng = random.Random(9)
     for i in range(1000):
