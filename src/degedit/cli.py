@@ -2,6 +2,14 @@
 
 Exit codes: 0 success (including a no answer), 1 usage, input or output
 error (such as an unwritable output path), 2 capacity exceeded.
+
+``main`` builds its parser on every call, with only the subparser that
+the first argument names (all four when it names none): building all of
+them cost more than the rest of a typical desk-scale command.  It is not
+cached: the closed-loop benchmark in ``perfbench/`` keeps every command's
+output, so its peak RSS grows with throughput, and a cached parser pushed
+it past its bound there.  Caching waits until that harness stops keeping
+outputs.
 """
 
 from __future__ import annotations
@@ -133,46 +141,68 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand's help line, handler and arguments, as (flag, keyword
+# arguments of ``add_argument``) pairs, in the order help lists them.
+COMMANDS = {
+    "solve": ("solve one instance exactly", cmd_solve, (
+        ("--input", dict(required=True)),
+        ("--method", dict(choices=("auto", "dp", "brute"), default="auto")),
+        ("--width-cap", dict(type=int, default=DEFAULT_WIDTH_CAP)),
+    )),
+    "kernelize": ("reduce an instance to a kernel", cmd_kernelize, (
+        ("--input", dict(required=True)),
+        ("--output", dict(required=True)),
+        ("--trace", dict()),
+    )),
+    "verify": ("check two instances agree on feasibility", cmd_verify, (
+        ("--original", dict(required=True)),
+        ("--kernel", dict(required=True)),
+    )),
+    "gen": ("generate a random planar instance", cmd_gen, (
+        ("--n", dict(type=int, required=True)),
+        ("--kv", dict(type=int, default=1)),
+        ("--ke", dict(type=int, default=1)),
+        ("--cost-budget", dict(type=int, default=3)),
+        ("--variant", dict(choices=("plain", "connected"), default="plain")),
+        ("--seed", dict(type=int, default=0)),
+        ("--output", dict()),
+        ("--raw", dict(action="store_true",
+                       help="draw degree targets without the "
+                            "solvable-window bias")),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for ``command`` alone when it names a subcommand, else
+    for all of them.
+
+    With one subcommand the subparsers action gets every name as its
+    metavar, so the top-level usage line (printed with an unrecognized
+    argument) reads as with all four.  With all four it gets none: an
+    invalid choice is then reported as ``argument command:``.
+    """
     parser = argparse.ArgumentParser(
         prog="degedit",
         description="degree-constrained deletion on planar graphs: "
                     "exact solving and kernelization")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve one instance exactly")
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=("auto", "dp", "brute"), default="auto")
-    p.add_argument("--width-cap", type=int, default=DEFAULT_WIDTH_CAP)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("kernelize", help="reduce an instance to a kernel")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--trace")
-    p.set_defaults(func=cmd_kernelize)
-
-    p = sub.add_parser("verify", help="check two instances agree on feasibility")
-    p.add_argument("--original", required=True)
-    p.add_argument("--kernel", required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("gen", help="generate a random planar instance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kv", type=int, default=1)
-    p.add_argument("--ke", type=int, default=1)
-    p.add_argument("--cost-budget", type=int, default=3)
-    p.add_argument("--variant", choices=("plain", "connected"), default="plain")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
-    p.add_argument("--raw", action="store_true",
-                   help="draw degree targets without the solvable-window bias")
-    p.set_defaults(func=cmd_gen)
+    if command in COMMANDS:
+        names, metavar = (command,), "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = tuple(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, func, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as ex:

@@ -215,10 +215,12 @@ def is_planar(g: Graph) -> bool:
     of the graph is not limited by the interpreter's recursion limit.
     """
     adj = g._adj
-    n = len(adj)
-    if n <= 4:
+    n, m = len(adj), g.m
+    # Kuratowski: K3,3 has 9 edges and K5 has 10, and no subdivision of
+    # either has fewer
+    if m <= 8:
         return True
-    if g.m > 3 * n - 6:
+    if m > 3 * n - 6:
         return False
     index = {v: i for i, v in enumerate(adj)}
     return _lr_test([[index[u] for u in ns] for ns in adj.values()])

@@ -154,6 +154,17 @@ def _target_choices(kept, deg_f, span):
     yield from rec(0, [])
 
 
+def _gadget_needs_planarity_test(cover, g: Graph) -> bool:
+    """Whether a cover's gadget vertices can make the planar G[closed]
+    non-planar.  A one-vertex block adds a pendant, which never does; a lone
+    pair {a, b} with ab an edge of G adds a path a–z–b beside that edge, a
+    subdivision of a parallel edge.  Any other cover is tested."""
+    wide = [block for block in cover if len(block) > 1]
+    if not wide:
+        return False
+    return len(wide) > 1 or len(wide[0]) > 2 or not g.has_edge(*wide[0])
+
+
 def build_boundary_instance(config: BoundaryConfig, part: Part, inst: Instance
                             ) -> tuple[Instance, frozenset[int]] | None:
     """The subinstance a configuration induces on a part, at the full budgets.
@@ -161,6 +172,8 @@ def build_boundary_instance(config: BoundaryConfig, part: Part, inst: Instance
     Boundary survivors and (for the connected variant) cover gadget
     vertices are priced out of deletion.  Returns None when the connected
     gadget graph is not planar: such configurations contribute nothing.
+    The instance's graph is planar, so only covers that can break that are
+    tested.
     """
     g = inst.graph
     closed = part.closed
@@ -202,7 +215,7 @@ def build_boundary_instance(config: BoundaryConfig, part: Part, inst: Instance
             e = edge_key(z, u)
             weight_e[e] = inst.k_e + 1
             cost_e[e] = 0
-    if not is_planar(sub):
+    if _gadget_needs_planarity_test(config.cover, g) and not is_planar(sub):
         return None
     return Instance(sub, delta, weight_v, weight_e, cost_v, cost_e,
                     inst.k_v, inst.k_e, inst.cost_budget,

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import random
 import subprocess
 import sys
@@ -5,7 +8,9 @@ from collections import Counter
 
 import pytest
 
+from degedit import cli
 from degedit.cli import DEFAULT_WIDTH_CAP, main
+from degedit.errors import CapacityError, ParseError
 from degedit.generator import generate_random_planar_instance
 from degedit.instance import CONNECTED, PLAIN, Solution, check_solution
 from degedit.io import parse_instance, write_instance
@@ -280,3 +285,143 @@ def test_kernelize_writes_a_decided_instance(tmp_path, capsys, text, answer):
     code, out, _ = run_cli(
         ["verify", "--original", str(src), "--kernel", str(kernel)], capsys)
     assert (code, out) == (0, "equivalent yes\n")
+
+
+# -- the parser built per command against the one that held all commands -------
+
+
+def reference_parser():
+    """The parser as it was built before ``main`` built only the named
+    subcommand: every subparser, every call."""
+    parser = argparse.ArgumentParser(
+        prog="degedit",
+        description="degree-constrained deletion on planar graphs: "
+                    "exact solving and kernelization")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("solve", help="solve one instance exactly")
+    p.add_argument("--input", required=True)
+    p.add_argument("--method", choices=("auto", "dp", "brute"), default="auto")
+    p.add_argument("--width-cap", type=int, default=DEFAULT_WIDTH_CAP)
+    p.set_defaults(func=cli.cmd_solve)
+
+    p = sub.add_parser("kernelize", help="reduce an instance to a kernel")
+    p.add_argument("--input", required=True)
+    p.add_argument("--output", required=True)
+    p.add_argument("--trace")
+    p.set_defaults(func=cli.cmd_kernelize)
+
+    p = sub.add_parser("verify", help="check two instances agree on feasibility")
+    p.add_argument("--original", required=True)
+    p.add_argument("--kernel", required=True)
+    p.set_defaults(func=cli.cmd_verify)
+
+    p = sub.add_parser("gen", help="generate a random planar instance")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--kv", type=int, default=1)
+    p.add_argument("--ke", type=int, default=1)
+    p.add_argument("--cost-budget", type=int, default=3)
+    p.add_argument("--variant", choices=("plain", "connected"), default="plain")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output")
+    p.add_argument("--raw", action="store_true",
+                   help="draw degree targets without the solvable-window bias")
+    p.set_defaults(func=cli.cmd_gen)
+    return parser
+
+
+def reference_main(argv):
+    parser = reference_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as ex:
+        return 1 if ex.code not in (0, None) else 0
+    try:
+        return args.func(args)
+    except ParseError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 1
+    except CapacityError as ex:
+        print(f"capacity exceeded: {ex}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 1
+
+
+def argv_corpus(tmp_path):
+    """Command lines over every subcommand, option and parse error kind."""
+    tri, kernel = str(tmp_path / "tri.deg"), str(tmp_path / "kernel.deg")
+    trace, made = str(tmp_path / "trace.txt"), str(tmp_path / "gen.deg")
+    (tmp_path / "tri.deg").write_text(TRIANGLE)
+    return [
+        # each subcommand with all of its options
+        ["solve", "--input", tri],
+        ["solve", "--input", tri, "--method", "dp", "--width-cap", "3"],
+        ["solve", "--method=brute", "--width-cap=0", "--input", tri],
+        ["kernelize", "--input", tri, "--output", kernel, "--trace", trace],
+        ["verify", "--original", tri, "--kernel", kernel],
+        ["gen", "--n", "7", "--kv", "2", "--ke", "0", "--cost-budget", "4",
+         "--variant", "connected", "--seed", "5", "--raw"],
+        ["gen", "--n", "6", "--output", made],
+        # errors the commands themselves report
+        ["solve", "--input", tri, "--width-cap", "-5"],
+        ["verify", "--original", tri, "--kernel", str(tmp_path / "none")],
+        ["gen", "--n", "-1"],
+        # missing required options
+        ["solve"], ["solve", "--input"], ["kernelize", "--input", tri],
+        ["verify", "--kernel", kernel], ["gen"], ["gen", "--kv", "1"],
+        # bad choices and bad integers
+        ["solve", "--input", tri, "--method", "fast"],
+        ["gen", "--n", "4", "--variant", "both"],
+        ["solve", "--input", tri, "--width-cap", "x"],
+        ["gen", "--n", "four"], ["gen", "--n", "3", "--seed", "1.5"],
+        # unknown options and abbreviations
+        ["solve", "--input", tri, "--bogus"],
+        ["solve", "--input", tri, "--bogus=1"],
+        ["--bogus"], ["--version"], ["-x", "solve"],
+        ["solve", "--inp", tri, "--wid", "3"],
+        ["kernelize", "--in", tri, "--out", kernel],
+        ["gen", "--n", "3", "--var", "connected", "--c", "2"],
+        ["gen", "--n", "3", "--k", "1"],
+        # no subcommand or an unknown one
+        ["solv"], ["bogus"], ["SOLVE", "--input", tri], [], ["--"],
+        ["--", "solve", "--input", tri],
+        # help at both levels
+        ["-h"], ["--help"], ["-h", "solve"], ["solve", "-h"],
+        ["kernelize", "--help"], ["verify", "-h"], ["gen", "-h"],
+        ["solve", "--input", tri, "-h"],
+        # extra positionals, reported by the top-level parser
+        ["solve", "extra", "--input", tri],
+        ["solve", "--input", tri, "extra"],
+        ["solve", "kernelize", "--input", tri],
+        ["verify", "--original", tri, "--kernel", kernel, "--", "x"],
+    ]
+
+
+def _outcome(run, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_differences(tmp_path):
+    """The command lines on which ``main`` and the reference part ways."""
+    return [(argv, got, want) for argv in argv_corpus(tmp_path)
+            for want in [_outcome(reference_main, argv)]
+            for got in [_outcome(main, argv)] if got != want]
+
+
+@pytest.mark.parametrize("columns", ["80", "24"])
+def test_main_matches_the_all_commands_parser(tmp_path, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    assert cli_differences(tmp_path) == []
+
+
+def test_main_reads_sys_argv(tmp_path, monkeypatch):
+    f = tmp_path / "tri.deg"
+    f.write_text(TRIANGLE)
+    for argv in (["solve", "--input", str(f)], ["solve"], ["-h"], []):
+        monkeypatch.setattr(sys, "argv", ["degedit"] + argv)
+        assert _outcome(lambda _: main(), None) == _outcome(main, argv)

@@ -125,6 +125,20 @@ def _planarity_corpus(rng):
             parts.append(_subdivided_kuratowski(rng))
         rng.shuffle(parts)
         yield _relabel(_union(parts), rng)
+    # either side of the edge-count shortcut: every graph with 8 edges is
+    # planar, and K3,3 (with isolated vertices) is the only non-planar one
+    # with 9
+    k33 = [(a, b) for a in range(3) for b in range(3, 6)]
+    k5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    for g in (Graph(range(6), k33), Graph(range(6), k33[1:]),
+              Graph(range(8), k33), Graph(range(5), k5[2:]),
+              Graph(range(5), k5[1:])):
+        yield _relabel(g, rng)
+    for m in (8, 9):
+        for _ in range(100):
+            n = rng.randint(5, 9)
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            yield _relabel(Graph(range(n), rng.sample(pairs, m)), rng)
 
 
 def test_is_planar_matches_networkx():

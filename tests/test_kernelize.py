@@ -1,8 +1,11 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from degedit.errors import CapacityError
+import degedit.kernelize
 from degedit.graph import Graph, is_planar
 from degedit.instance import CONNECTED, PLAIN, Solution, check_solution
 from degedit.kernelize import (KERNEL, BoundaryConfig, _check_t2_components,
@@ -126,6 +129,75 @@ def test_boundary_instance_nonplanar_gadget_marker():
     cfg = BoundaryConfig(frozenset(), frozenset(),
                          ((1, 3), (2, 3), (3, 3)), ((1, 2, 3),))
     assert build_boundary_instance(cfg, part, inst) is None
+
+
+def test_boundary_instance_pair_gadget_off_an_edge_is_tested():
+    # K3,3 less the edge 1-4 is planar, and the path 1-z-4 of the pair
+    # block makes it a subdivided K3,3 again; pendant blocks keep it planar
+    edges = [(a, b) for a in (1, 2, 3) for b in (4, 5, 6) if (a, b) != (1, 4)]
+    inst = make_instance(range(1, 7), edges,
+                         {1: 2, 2: 3, 3: 3, 4: 2, 5: 3, 6: 3},
+                         k_v=1, k_e=1, cost_budget=2, variant=CONNECTED)
+    part = _part_for(inst, [2, 3, 5, 6])
+    assert part.boundary == {1, 4}
+    cfg = BoundaryConfig(frozenset(), frozenset(), ((1, 3), (4, 3)),
+                         ((1, 4),))
+    assert build_boundary_instance(cfg, part, inst) is None
+    cfg = BoundaryConfig(frozenset(), frozenset(), ((1, 3), (4, 3)),
+                         ((1,), (4,)))
+    assert build_boundary_instance(cfg, part, inst) is not None
+
+
+def _gadget_corpus():
+    """The forge families over 12 seeds, then seeded connected corpora, as
+    (instance, dominating set or None) pairs."""
+    for _, fn in forges.FAMILIES:
+        for seed in range(12):
+            yield fn(seed)
+    for base in (64_000, 65_000, 66_000):
+        for inst in random_corpus(100, base, n_lo=4, n_hi=12,
+                                  variants=(CONNECTED,)):
+            yield inst, None
+
+
+def _candidates_digest(results):
+    h = hashlib.sha256()
+    for res in results:
+        cs = res.candidates
+        h.update(repr(None if cs is None else (
+            sorted(cs.vertices), sorted(cs.edges),
+            [(sorted(w), sorted(l)) for w, l in cs.per_part],
+            cs.skipped)).encode() + b"\n")
+    return h.hexdigest()
+
+
+# sha256 of the candidate sets of _gadget_corpus(), taken while every
+# gadget graph was tested for planarity
+GADGET_CORPUS_CANDIDATES = (
+    "dcbe9964d01e3c3578218a3221d13e041c196fd8bed6a9afd3c9e013341397a7")
+
+
+def test_gadget_planarity_is_tested_wherever_it_can_fail(monkeypatch):
+    # a configuration whose planarity test is skipped has a planar gadget
+    # graph, so the test would have passed it; the candidate sets are those
+    # of testing every gadget
+    built = degedit.kernelize.build_boundary_instance
+    seen = Counter()
+
+    def checking(config, part, inst):
+        out = built(config, part, inst)
+        if config.cover is not None:
+            needed = degedit.kernelize._gadget_needs_planarity_test(
+                config.cover, inst.graph)
+            seen["tested" if needed else "skipped"] += 1
+            if not needed:
+                assert out is not None and is_planar(out[0].graph), config
+        return out
+
+    monkeypatch.setattr(degedit.kernelize, "build_boundary_instance", checking)
+    results = [kernelize(inst, domset=dom) for inst, dom in _gadget_corpus()]
+    assert seen["skipped"] > 1000 and seen["tested"] > 1000, seen
+    assert _candidates_digest(results) == GADGET_CORPUS_CANDIDATES
 
 
 def test_candidates_trivial_decomposition_take_everything():
