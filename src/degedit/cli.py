@@ -47,10 +47,12 @@ def _write_file(path: str, text: str) -> None:
     makes ext4 flush the file when it is closed (its auto_da_alloc
     heuristic); on an ext4 virtual disk that took about 0.2 ms per small
     file, and several ms at the 99th percentile, against under 0.01 ms for
-    writing over the old bytes and cutting the file at the new end."""
+    writing over the old bytes and cutting the file at the new end.  A pipe
+    or a terminal holds no old bytes and cannot be cut, so it is not."""
     with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
         fh.write(text)
-        fh.truncate()
+        if fh.seekable():
+            fh.truncate()
 
 
 def _solve_with(inst, method: str, width_cap: int) -> Solution | None:

@@ -88,9 +88,6 @@ class Graph:
             self._edges = frozenset(self.edges())
         return self._edges
 
-    def incident_edges(self, v: int) -> list[tuple[int, int]]:
-        return [edge_key(v, u) for u in sorted(self._adj[v])]
-
     def subgraph(self, keep: Iterable[int]) -> "Graph":
         keep_set = frozenset(keep)
         unknown = keep_set - self.vertices
@@ -134,12 +131,6 @@ class Graph:
 
     # -- edits (all return fresh graphs) -----------------------------------
 
-    def delete_vertex(self, v: int) -> "Graph":
-        if v not in self._adj:
-            raise ValueError(f"no such vertex: {v}")
-        adj = {u: ns - {v} for u, ns in self._adj.items() if u != v}
-        return Graph._from_adj(adj)
-
     def delete_vertices(self, vs: Iterable[int]) -> "Graph":
         drop = frozenset(vs)
         unknown = drop - self.vertices
@@ -147,9 +138,6 @@ class Graph:
             raise ValueError(f"no such vertices: {sorted(unknown)}")
         adj = {u: ns - drop for u, ns in self._adj.items() if u not in drop}
         return Graph._from_adj(adj)
-
-    def delete_edge(self, u: int, v: int) -> "Graph":
-        return self.delete_edges([(u, v)])
 
     def delete_edges(self, es: Iterable[tuple[int, int]]) -> "Graph":
         """Delete es one after another on one copy of the adjacency."""

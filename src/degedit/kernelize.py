@@ -4,7 +4,10 @@ Pipeline: normalize, find a distance-2 dominating set, build a protrusion
 decomposition, then compute candidate sets (W, L) by solving every boundary
 configuration of every part with the treewidth solver; some minimum-cost
 solution of a yes-instance deletes only candidate vertices and edges, which
-licenses the reduction rules that shrink everything outside them.
+licenses the reduction rules that shrink everything outside them.  In the
+connected variant a configuration also attaches cover gadget vertices, and
+configurations whose gadget graph is not planar are never enumerated: one
+planarity test per part decides them all.
 
 The fifteen reduction rules are handlers on the rewrite state that
 normalization also runs on (``normalize.KernelState``): each changes the
@@ -21,7 +24,7 @@ only the size guarantee (the ``certified`` flag), never equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, product
 
 from .dpsolve import PreparedSolve
 from .errors import CapacityError
@@ -38,6 +41,11 @@ from .treewidth import NiceTreeDecomposition, TreeDecomposition, to_nice
 KERNEL = "kernel"
 
 DEFAULT_ALPHA_CAP_PLAIN = 3
+# At most two boundary vertices, so a cover block is a pendant or a pair
+# {a, b} kept whole, and a pair can only ever sit beside G[closed] as the
+# same path a–z–b: ``enumerate_configs`` tests gadget planarity once per
+# part.  A higher cap allows wider blocks and removal sets that change the
+# gadget graph, and then needs a planarity test per configuration again.
 DEFAULT_ALPHA_CAP_CONNECTED = 2
 
 # The reduction phases in order; each phase is one ``KernelState.run`` over
@@ -97,7 +105,9 @@ def _covers(remnant: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def enumerate_configs(part: Part, inst: Instance) -> list[BoundaryConfig]:
-    """All valid boundary configurations of one part, canonically ordered."""
+    """The boundary configurations of one part that get solved, canonically
+    ordered: every valid one, less the connected covers whose gadget graph
+    is not planar."""
     cap = alpha_cap_for(inst.variant)
     boundary = sorted(part.boundary)
     if len(boundary) > cap:
@@ -105,6 +115,16 @@ def enumerate_configs(part: Part, inst: Instance) -> list[BoundaryConfig]:
             f"part boundary {len(boundary)} exceeds configured cap {cap}")
     g = inst.graph
     span = inst.k_v + inst.k_e
+    closed = part.closed
+    connected = inst.variant == CONNECTED
+    # One test decides the whole part (see DEFAULT_ALPHA_CAP_CONNECTED): a
+    # pair block {a, b} adds the same path a–z–b to G[closed] in every
+    # configuration that holds it, and beside an edge ab it stays planar.
+    nonplanar_block = None
+    if connected and len(boundary) == 2 and not g.has_edge(*boundary):
+        z = max(g.vertices) + 1
+        if not is_planar(g.subgraph(closed).add_vertex(z, boundary)):
+            nonplanar_block = tuple(boundary)
     out: list[BoundaryConfig] = []
     for x_bits in range(1 << len(boundary)):
         removed = frozenset(boundary[i] for i in range(len(boundary))
@@ -115,14 +135,14 @@ def enumerate_configs(part: Part, inst: Instance) -> list[BoundaryConfig]:
             removed_edges = frozenset(pool[i] for i in range(len(pool))
                                       if (y_bits >> i) & 1)
             # degrees in the part's closed neighbourhood after the removals
-            closed = part.closed
             deg_f = {}
             for v in kept:
                 d = sum(1 for u in g.neighbors(v)
                         if u in closed and u not in removed)
                 d -= sum(1 for e in removed_edges if v in e)
                 deg_f[v] = d
-            covers = _covers(kept) if inst.variant == CONNECTED else [None]
+            covers = [c for c in _covers(kept) if nonplanar_block not in c] \
+                if connected else [None]
             for cover in covers:
                 # target windows are relative to the gadget graph, whose
                 # boundary degrees grow by the undeletable cover edges
@@ -131,49 +151,21 @@ def enumerate_configs(part: Part, inst: Instance) -> list[BoundaryConfig]:
                            for v in kept}
                 else:
                     deg = deg_f
-                for targets in _target_choices(kept, deg, span):
+                windows = [[(v, t) for t in range(max(0, deg[v] - span),
+                                                  deg[v] + 1)] for v in kept]
+                for targets in product(*windows):
                     out.append(BoundaryConfig(removed, removed_edges,
                                               targets, cover))
     return out
 
 
-def _target_choices(kept, deg_f, span):
-    if not kept:
-        yield ()
-        return
-    ranges = [range(max(0, deg_f[v] - span), deg_f[v] + 1) for v in kept]
-
-    def rec(i, acc):
-        if i == len(kept):
-            yield tuple(acc)
-            return
-        for t in ranges[i]:
-            acc.append((kept[i], t))
-            yield from rec(i + 1, acc)
-            acc.pop()
-    yield from rec(0, [])
-
-
-def _gadget_needs_planarity_test(cover, g: Graph) -> bool:
-    """Whether a cover's gadget vertices can make the planar G[closed]
-    non-planar.  A one-vertex block adds a pendant, which never does; a lone
-    pair {a, b} with ab an edge of G adds a path a–z–b beside that edge, a
-    subdivision of a parallel edge.  Any other cover is tested."""
-    wide = [block for block in cover if len(block) > 1]
-    if not wide:
-        return False
-    return len(wide) > 1 or len(wide[0]) > 2 or not g.has_edge(*wide[0])
-
-
 def build_boundary_instance(config: BoundaryConfig, part: Part, inst: Instance
-                            ) -> tuple[Instance, frozenset[int]] | None:
-    """The subinstance a configuration induces on a part, at the full budgets.
+                            ) -> tuple[Instance, frozenset[int]]:
+    """The subinstance a configuration induces on a part, at the full budgets,
+    with the ids of its cover gadget vertices.
 
     Boundary survivors and (for the connected variant) cover gadget
-    vertices are priced out of deletion.  Returns None when the connected
-    gadget graph is not planar: such configurations contribute nothing.
-    The instance's graph is planar, so only covers that can break that are
-    tested.
+    vertices are priced out of deletion.
     """
     g = inst.graph
     closed = part.closed
@@ -215,8 +207,6 @@ def build_boundary_instance(config: BoundaryConfig, part: Part, inst: Instance
             e = edge_key(z, u)
             weight_e[e] = inst.k_e + 1
             cost_e[e] = 0
-    if _gadget_needs_planarity_test(config.cover, g) and not is_planar(sub):
-        return None
     return Instance(sub, delta, weight_v, weight_e, cost_v, cost_e,
                     inst.k_v, inst.k_e, inst.cost_budget,
                     CONNECTED), gadget
@@ -267,10 +257,7 @@ def compute_candidate_sets(inst: Instance, pd: ProtrusionDecomposition
         budget_pairs = [(hv, he) for hv in range(inst.k_v + 1)
                         for he in range(inst.k_e + 1)]
         for cfg in configs:
-            built = build_boundary_instance(cfg, part, inst)
-            if built is None:
-                continue
-            sub_inst, gadget = built
+            sub_inst, gadget = build_boundary_instance(cfg, part, inst)
             cache_key = (cfg.removed_vertices, len(gadget))
             if cache_key not in ntd_cache:
                 ntd_cache[cache_key] = _patched_ntd(

@@ -76,10 +76,6 @@ class ProtrusionVerdict:
         return self.ok
 
 
-def trivial_decomposition(g: Graph) -> ProtrusionDecomposition:
-    return ProtrusionDecomposition(g.vertices, (), 3, certified=g.n <= 3)
-
-
 def build_protrusion_decomposition(g: Graph, domset: Iterable[int], r: int = 2, *,
                                    boundary_cap: int | None = None
                                    ) -> ProtrusionDecomposition:

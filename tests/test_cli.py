@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import os
 import random
 import subprocess
 import sys
@@ -120,6 +121,35 @@ def test_gen_deterministic_and_parseable(tmp_path, capsys):
     inst = parse_instance(f1.read_text())
     assert inst.variant == CONNECTED
     assert inst.graph.n == 9
+
+
+def _through_pipe(argv, capsys):
+    """Run argv with its argument "PIPE" replaced by the write end of a
+    fresh pipe, as a /dev/fd path; the exit code and the bytes written.
+    The outputs are small enough to fit the pipe's buffer."""
+    r, w = os.pipe()
+    try:
+        code = run_cli([f"/dev/fd/{w}" if a == "PIPE" else a for a in argv],
+                       capsys)[0]
+    finally:
+        os.close(w)
+    with os.fdopen(r, "rb") as reader:
+        return code, reader.read()
+
+
+def test_output_and_trace_write_into_a_pipe(tmp_path, capsys):
+    # a pipe cannot be cut at the end of what was written
+    argv = ["gen", "--n", "9", "--kv", "1", "--ke", "1", "--cost-budget", "3",
+            "--variant", "connected", "--seed", "7"]
+    inst = generate_random_planar_instance(9, 1, 1, 3, CONNECTED, seed=7)
+    assert _through_pipe(argv + ["--output", "PIPE"], capsys) == \
+        (0, write_instance(inst).encode())
+    src, kernel, trace = (tmp_path / n for n in ("in.deg", "k.deg", "t.txt"))
+    src.write_text(write_instance(inst))
+    argv = ["kernelize", "--input", str(src), "--output", str(kernel)]
+    assert run_cli(argv + ["--trace", str(trace)], capsys)[0] == 0
+    assert _through_pipe(argv + ["--trace", "PIPE"], capsys) == \
+        (0, trace.read_bytes())
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

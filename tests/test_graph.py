@@ -21,7 +21,7 @@ def test_edge_key_canonical_and_loop_rejected():
 
 def test_delete_vertex_from_path():
     g = Graph([1, 2, 3], [(1, 2), (2, 3)])
-    h = g.delete_vertex(2)
+    h = g.delete_vertices([2])
     assert h.vertices == {1, 3}
     assert h.m == 0
     # original untouched
@@ -38,7 +38,7 @@ def test_contract_triangle_merges_parallel_edges():
 
 def test_delete_edge_from_cycle():
     g = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4)])
-    h = g.delete_edge(1, 2)
+    h = g.delete_edges([(1, 2)])
     assert h.edge_set() == {(2, 3), (3, 4), (1, 4)}
     assert h.degree(1) == h.degree(2) == 1
 
@@ -194,9 +194,9 @@ def test_planarity_preserved_by_edits(rng):
                 break
             op = rng.choice(choices)
             if op == "dv":
-                g = g.delete_vertex(rng.choice(g.sorted_vertices()))
+                g = g.delete_vertices([rng.choice(g.sorted_vertices())])
             elif op == "de":
-                g = g.delete_edge(*rng.choice(edges))
+                g = g.delete_edges([rng.choice(edges)])
             else:
                 g, _ = g.contract_edge(*rng.choice(edges))
             assert is_planar(g)
@@ -242,12 +242,12 @@ def _edits(g, rng):
     """One result of each edit method on g, each from a fresh random pick."""
     vs = g.sorted_vertices()
     es = list(g.edges())
-    yield g.delete_vertex(rng.choice(vs))
+    yield g.delete_vertices([rng.choice(vs)])
     yield g.delete_vertices(rng.sample(vs, rng.randint(0, len(vs))))
     yield g.subgraph(rng.sample(vs, rng.randint(0, len(vs))))
     yield g.add_vertex(max(vs) + 1, rng.sample(vs, rng.randint(0, min(3, len(vs)))))
     if es:
-        yield g.delete_edge(*rng.choice(es))
+        yield g.delete_edges([rng.choice(es)])
         yield g.delete_edges(rng.sample(es, rng.randint(0, len(es))))
         yield g.contract_edge(*rng.choice(es))[0]
 

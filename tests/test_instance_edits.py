@@ -30,7 +30,7 @@ def ref_normalize_delete_vertex(inst, v, *, charge):
         cbudget -= inst.cost_v[v]
         if k_v < 0 or cbudget < 0:
             return None
-    g = inst.graph.delete_vertex(v)
+    g = inst.graph.delete_vertices([v])
     keep_v = g.vertices
     keep_e = g.edge_set()
     return Instance(

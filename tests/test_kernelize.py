@@ -1,6 +1,5 @@
 import hashlib
 import random
-from collections import Counter
 
 import pytest
 
@@ -8,8 +7,9 @@ from degedit.errors import CapacityError
 import degedit.kernelize
 from degedit.graph import Graph, is_planar
 from degedit.instance import CONNECTED, PLAIN, Solution, check_solution
-from degedit.kernelize import (KERNEL, BoundaryConfig, _check_t2_components,
-                               _covers, build_boundary_instance,
+from degedit.kernelize import (KERNEL, BoundaryConfig, _boundary_edge_pool,
+                               _check_t2_components, _covers,
+                               alpha_cap_for, build_boundary_instance,
                                compute_candidate_sets, enumerate_configs,
                                format_trace, kernelize, reduce_dpggd,
                                size_bound_report)
@@ -17,7 +17,7 @@ from degedit.normalize import DECIDED_NO, DECIDED_YES, normalize
 from degedit.oracle import brute_force_min_cost
 from degedit.protrusion import (Part, ProtrusionDecomposition,
                                 build_protrusion_decomposition,
-                                greedy_2_dominating_set, trivial_decomposition)
+                                greedy_2_dominating_set)
 from degedit.treewidth import decompose
 
 import forges
@@ -30,6 +30,79 @@ def _part_for(inst, vertices):
     boundary = frozenset(x for v in verts for x in g.neighbors(v)) - verts
     sub = g.subgraph(verts | boundary)
     return Part(verts, boundary, decompose(sub))
+
+
+# -- the per-configuration gadget filter, kept as the reference ----------------
+
+
+def ref_all_configs(part, inst):
+    """Every valid boundary configuration, as ``enumerate_configs`` listed
+    them before it left out non-planar gadgets."""
+    cap = alpha_cap_for(inst.variant)
+    boundary = sorted(part.boundary)
+    if len(boundary) > cap:
+        raise CapacityError(
+            f"part boundary {len(boundary)} exceeds configured cap {cap}")
+    g = inst.graph
+    span = inst.k_v + inst.k_e
+    out = []
+    for x_bits in range(1 << len(boundary)):
+        removed = frozenset(boundary[i] for i in range(len(boundary))
+                            if (x_bits >> i) & 1)
+        kept = tuple(v for v in boundary if v not in removed)
+        pool = _boundary_edge_pool(g, kept)
+        for y_bits in range(1 << len(pool)):
+            removed_edges = frozenset(pool[i] for i in range(len(pool))
+                                      if (y_bits >> i) & 1)
+            closed = part.closed
+            deg_f = {}
+            for v in kept:
+                d = sum(1 for u in g.neighbors(v)
+                        if u in closed and u not in removed)
+                d -= sum(1 for e in removed_edges if v in e)
+                deg_f[v] = d
+            covers = _covers(kept) if inst.variant == CONNECTED else [None]
+            for cover in covers:
+                if cover:
+                    deg = {v: deg_f[v] + sum(1 for block in cover if v in block)
+                           for v in kept}
+                else:
+                    deg = deg_f
+                for targets in ref_target_choices(kept, deg, span):
+                    out.append(BoundaryConfig(removed, removed_edges,
+                                              targets, cover))
+    return out
+
+
+def ref_target_choices(kept, deg_f, span):
+    if not kept:
+        yield ()
+        return
+    ranges = [range(max(0, deg_f[v] - span), deg_f[v] + 1) for v in kept]
+
+    def rec(i, acc):
+        if i == len(kept):
+            yield tuple(acc)
+            return
+        for t in ranges[i]:
+            acc.append((kept[i], t))
+            yield from rec(i + 1, acc)
+            acc.pop()
+    yield from rec(0, [])
+
+
+def ref_configs(part, inst):
+    """The configurations that get solved: each connected one is kept when
+    its gadget graph is planar."""
+    return [cfg for cfg in ref_all_configs(part, inst)
+            if cfg.cover is None
+            or is_planar(build_boundary_instance(cfg, part, inst)[0].graph)]
+
+
+def ref_candidate_sets(inst, pd, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(degedit.kernelize, "enumerate_configs", ref_configs)
+        return compute_candidate_sets(inst, pd)
 
 
 def test_configs_empty_boundary_is_single_config():
@@ -117,21 +190,7 @@ def test_boundary_instance_full_removal_drops_gadget():
     assert sub.graph.vertices == {2, 3}
 
 
-def test_boundary_instance_nonplanar_gadget_marker():
-    # K2,3 between the part and a three-vertex boundary becomes K3,3 once
-    # the cover gadget is attached
-    edges = [(a, b) for a in (4, 5) for b in (1, 2, 3)] + [(1, 6), (2, 6), (3, 6)]
-    inst = make_instance(range(1, 7), edges,
-                         {v: 1 for v in range(1, 7)} | {6: 3},
-                         k_v=1, k_e=1, cost_budget=2, variant=CONNECTED)
-    part = _part_for(inst, [4, 5])
-    assert part.boundary == {1, 2, 3}
-    cfg = BoundaryConfig(frozenset(), frozenset(),
-                         ((1, 3), (2, 3), (3, 3)), ((1, 2, 3),))
-    assert build_boundary_instance(cfg, part, inst) is None
-
-
-def test_boundary_instance_pair_gadget_off_an_edge_is_tested():
+def test_configs_pair_gadget_off_an_edge_is_tested():
     # K3,3 less the edge 1-4 is planar, and the path 1-z-4 of the pair
     # block makes it a subdivided K3,3 again; pendant blocks keep it planar
     edges = [(a, b) for a in (1, 2, 3) for b in (4, 5, 6) if (a, b) != (1, 4)]
@@ -140,12 +199,33 @@ def test_boundary_instance_pair_gadget_off_an_edge_is_tested():
                          k_v=1, k_e=1, cost_budget=2, variant=CONNECTED)
     part = _part_for(inst, [2, 3, 5, 6])
     assert part.boundary == {1, 4}
-    cfg = BoundaryConfig(frozenset(), frozenset(), ((1, 3), (4, 3)),
-                         ((1, 4),))
-    assert build_boundary_instance(cfg, part, inst) is None
+    configs = enumerate_configs(part, inst)
+    assert configs == ref_configs(part, inst)
+    covers = {cfg.cover for cfg in configs if not cfg.removed_vertices}
+    assert covers == {((1,), (4,))}
     cfg = BoundaryConfig(frozenset(), frozenset(), ((1, 3), (4, 3)),
                          ((1,), (4,)))
-    assert build_boundary_instance(cfg, part, inst) is not None
+    assert cfg in configs
+    assert is_planar(build_boundary_instance(cfg, part, inst)[0].graph)
+
+
+def test_configs_leave_out_a_nonplanar_pair_gadget(monkeypatch):
+    # K5 less the edge 1-2, with a pendant on 1 and one on 2: the pair
+    # block's path 1-z-2 gives a subdivided K5 for every cover holding it
+    edges = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)
+             if (a, b) != (1, 2)] + [(1, 6), (2, 7)]
+    inst = make_instance(range(1, 8), edges,
+                         {1: 3, 2: 3, 3: 3, 4: 3, 5: 3, 6: 1, 7: 1},
+                         k_v=1, k_e=1, cost_budget=2, variant=CONNECTED)
+    pd = build_protrusion_decomposition(inst.graph, {1, 2}, r=2)
+    (part,) = [p for p in pd.parts if p.vertices == {3, 4, 5}]
+    assert part.boundary == {1, 2}
+    configs = enumerate_configs(part, inst)
+    assert len(ref_all_configs(part, inst)) == 43
+    assert len(configs) == 16 and configs == ref_configs(part, inst)
+    assert not any((1, 2) in cfg.cover for cfg in configs)
+    assert compute_candidate_sets(inst, pd) == \
+        ref_candidate_sets(inst, pd, monkeypatch)
 
 
 def _gadget_corpus():
@@ -177,32 +257,39 @@ GADGET_CORPUS_CANDIDATES = (
     "dcbe9964d01e3c3578218a3221d13e041c196fd8bed6a9afd3c9e013341397a7")
 
 
-def test_gadget_planarity_is_tested_wherever_it_can_fail(monkeypatch):
-    # a configuration whose planarity test is skipped has a planar gadget
-    # graph, so the test would have passed it; the candidate sets are those
-    # of testing every gadget
-    built = degedit.kernelize.build_boundary_instance
-    seen = Counter()
+def test_configs_match_the_per_configuration_filter(monkeypatch):
+    # one planarity test per connected part whose boundary is a non-adjacent
+    # pair leaves out exactly the configurations whose gadget graph fails
+    # the test, and the candidate sets are those of testing every gadget
+    enumerated, tests = [], []
+    enumerate_all = degedit.kernelize.enumerate_configs
 
-    def checking(config, part, inst):
-        out = built(config, part, inst)
-        if config.cover is not None:
-            needed = degedit.kernelize._gadget_needs_planarity_test(
-                config.cover, inst.graph)
-            seen["tested" if needed else "skipped"] += 1
-            if not needed:
-                assert out is not None and is_planar(out[0].graph), config
-        return out
+    def recording(part, inst):
+        configs = enumerate_all(part, inst)
+        enumerated.append((part, inst, configs))
+        return configs
 
-    monkeypatch.setattr(degedit.kernelize, "build_boundary_instance", checking)
+    def counting(g):
+        tests.append(g)
+        return is_planar(g)
+
+    monkeypatch.setattr(degedit.kernelize, "enumerate_configs", recording)
+    monkeypatch.setattr(degedit.kernelize, "is_planar", counting)
     results = [kernelize(inst, domset=dom) for inst, dom in _gadget_corpus()]
-    assert seen["skipped"] > 1000 and seen["tested"] > 1000, seen
     assert _candidates_digest(results) == GADGET_CORPUS_CANDIDATES
+    pair_parts = sum(1 for part, inst, _ in enumerated
+                     if inst.variant == CONNECTED and len(part.boundary) == 2
+                     and not inst.graph.has_edge(*sorted(part.boundary)))
+    assert pair_parts > 100 and len(tests) == pair_parts
+    for part, inst, configs in enumerated:
+        assert configs == ref_configs(part, inst)
 
 
 def test_candidates_trivial_decomposition_take_everything():
     inst = cycle_instance(4, 1, k_e=2, cost_budget=2)
-    cs = compute_candidate_sets(inst, trivial_decomposition(inst.graph))
+    g = inst.graph
+    cs = compute_candidate_sets(
+        inst, ProtrusionDecomposition(g.vertices, (), 3, certified=g.n <= 3))
     assert cs.vertices == inst.graph.vertices
     assert cs.edges == inst.graph.edge_set()
 
@@ -251,7 +338,9 @@ def test_skipped_part_falls_back_to_whole_part():
 
 def test_reduce_noop_when_everything_is_candidate():
     inst = cycle_instance(4, 1, k_e=2, cost_budget=2)
-    cs = compute_candidate_sets(inst, trivial_decomposition(inst.graph))
+    g = inst.graph
+    cs = compute_candidate_sets(
+        inst, ProtrusionDecomposition(g.vertices, (), 3, certified=g.n <= 3))
     state = reduce_dpggd(inst, cs)
     assert state.decided is None
     assert state.inst.graph.edge_set() == inst.graph.edge_set()

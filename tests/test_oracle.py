@@ -4,6 +4,7 @@ import pytest
 
 from degedit.errors import CapacityError
 from degedit.generator import generate_random_planar_instance
+from degedit.graph import edge_key
 from degedit.instance import CONNECTED, PLAIN, Solution, check_solution, is_efficient
 from degedit.oracle import brute_force_min_cost, equivalence_check
 
@@ -63,11 +64,11 @@ def test_efficiency_closure(rng):
         inst = generate_random_planar_instance(
             rng.randint(2, 7), 2, 2, 6, PLAIN, seed=1000 + seed)
         rep = brute_force_min_cost(inst)
-        if not rep.feasible:
+        if not rep.feasible or not rep.optima[0].deleted_vertices:
             continue
         best = rep.optima[0]
-        for extra in inst.graph.incident_edges(next(iter(best.deleted_vertices), -1)) \
-                if best.deleted_vertices else []:
+        v = next(iter(best.deleted_vertices))
+        for extra in [edge_key(v, u) for u in sorted(inst.graph.neighbors(v))]:
             padded = Solution.of(inst, best.deleted_vertices,
                                  set(best.deleted_edges) | {extra})
             if inst.edge_weight(padded.deleted_edges) > inst.k_e \

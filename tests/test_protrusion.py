@@ -6,9 +6,9 @@ from degedit.generator import random_planar_graph
 from degedit.graph import Graph
 from degedit.normalize import NORMALIZED, normalize
 from degedit.oracle import brute_force_min_cost
-from degedit.protrusion import (build_protrusion_decomposition,
+from degedit.protrusion import (ProtrusionDecomposition,
+                                build_protrusion_decomposition,
                                 greedy_2_dominating_set, is_r_dominating,
-                                trivial_decomposition,
                                 validate_protrusion_decomposition)
 
 from conftest import random_corpus
@@ -68,7 +68,8 @@ def test_build_trivial_when_domset_everything():
     assert pd.p == 0
     assert pd.r0 == g.vertices
     assert validate_protrusion_decomposition(g, pd)
-    assert validate_protrusion_decomposition(g, trivial_decomposition(g))
+    trivial = ProtrusionDecomposition(g.vertices, (), 3, certified=g.n <= 3)
+    assert validate_protrusion_decomposition(g, trivial)
 
 
 def test_build_p9_path_parts():
