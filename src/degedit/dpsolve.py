@@ -21,7 +21,13 @@ key's entry.
 Keys use exact spent weight rather than a remaining-budget allowance; the
 two forms determine each other (an allowance answer is the best entry over
 all spent weights within it), and ``best_within`` reads that view off the
-root answers, so one run serves every smaller budget pair.  Values are
+root answers, so one run serves every smaller budget pair.  Nothing
+forgets the vertices of a nonempty root bag (``to_nice``'s ``root_bag``),
+so every key records their losses, and ``root_answers`` groups the root
+rows that keep the bag whole (in one component, if connected) by them.
+Group (l_v) holds the rows for targets deg(v) - l_v, since a lower cap on
+v only drops keys: one run with such a v at target 0 answers every target
+from deg(v) - min(k_v + k_e, deg(v)) to deg(v).  Values are
 minimum-cost deletion pairs with deterministic lexicographic tie-breaking
 on (sorted vertex ids, sorted edge pairs).
 
@@ -438,12 +444,14 @@ def run_tables(ctx: _Ctx) -> list[dict]:
     return tables
 
 
-def root_answers(ctx: _Ctx, root_table: dict) -> list[tuple[int, int, tuple]]:
-    """Feasible (spent_v, spent_e, entry) rows at the empty root bag."""
-    out = []
+def root_answers(ctx: _Ctx, root_table: dict) -> dict[tuple, list]:
+    """Feasible (spent_v, spent_e, entry) rows at the root, grouped by the
+    losses of the root-bag vertices; an empty root bag gives one group, ()."""
+    out: dict[tuple, list] = {}
     for key, ent in sorted(root_table.items()):
-        if key[0] == 0 and key[1] == 0 and key[2] == ():
-            out.append((key[3], key[4], ent))
+        if key[0] or key[1] or (ctx.connected and len(set(key[5])) > 1):
+            continue
+        out.setdefault(key[2], []).append((key[3], key[4], ent))
     return out
 
 
@@ -479,7 +487,7 @@ class PreparedSolve:
 
     def solve(self, h_v: int | None = None, h_e: int | None = None) -> Solution | None:
         inst = self.ctx.inst
-        return best_within(self.ctx, self.answers,
+        return best_within(self.ctx, self.answers.get((), ()),
                            inst.k_v if h_v is None else h_v,
                            inst.k_e if h_e is None else h_e)
 

@@ -122,13 +122,13 @@ def delete_edges(inst: Instance, es: Iterable[tuple[int, int]],
 
 
 def contract(inst: Instance, a: int, b: int, z: int, *, slack: int,
-             weight_z: int, cost_z: int, edge_policy) -> Instance | None:
+             weight_z: int, cost_z: int, inherit: bool) -> Instance | None:
     """Contract edge ab into z.
 
     z's target is |N(a) ∪ N(b) − {a, b}| − ``slack``, and every common
     neighbour of a and b loses one target degree (not below 0); None when
-    z's target would be negative.  ``edge_policy`` is ("fixed", w, c) to
-    restamp every edge at z, or "inherit" (requires no common neighbour).
+    z's target would be negative.  Edges at z are undeletable and free, or,
+    with ``inherit`` (no common neighbour allowed), keep their old terms.
     """
     g = inst.graph
     na, nb = g.neighbors(a), g.neighbors(b)
@@ -136,7 +136,7 @@ def contract(inst: Instance, a: int, b: int, z: int, *, slack: int,
     if delta_z < 0:
         return None
     common = na & nb
-    if edge_policy == "inherit" and common:
+    if inherit and common:
         raise RuntimeError("inherit policy with merged parallel edges")
     g2, minted = g.contract_edge(a, b, new_id=z)
     if minted != z:
@@ -152,15 +152,14 @@ def contract(inst: Instance, a: int, b: int, z: int, *, slack: int,
     weight_e, cost_e = {}, {}
     for e in g2.edge_set():
         if z in e:
-            if edge_policy == "inherit":
+            if inherit:
                 x = e[0] if e[1] == z else e[1]
                 src = edge_key(x, a) if g.has_edge(x, a) else edge_key(x, b)
                 weight_e[e] = inst.weight_e[src]
                 cost_e[e] = inst.cost_e[src]
             else:
-                _, wgt, c = edge_policy
-                weight_e[e] = wgt
-                cost_e[e] = c
+                weight_e[e] = inst.k_e + 1
+                cost_e[e] = 0
         else:
             weight_e[e] = inst.weight_e[e]
             cost_e[e] = inst.cost_e[e]
@@ -168,22 +167,21 @@ def contract(inst: Instance, a: int, b: int, z: int, *, slack: int,
                    weight_e=weight_e, cost_v=cost_v, cost_e=cost_e)
 
 
-def add_pendant(inst: Instance, z: int, nbrs: tuple[int, ...], *,
-                delta_z: int, weight_z: int, cost_z: int,
-                edge_weight: int, edge_cost: int) -> Instance:
+def add_pendant(inst: Instance, z: int, nbrs: tuple[int, ...]) -> Instance:
+    """Add z joined to nbrs, undeletable, free and at its degree."""
     g = inst.graph.add_vertex(z, nbrs)
     delta = dict(inst.delta)
-    delta[z] = delta_z
+    delta[z] = len(nbrs)
     weight_v = dict(inst.weight_v)
-    weight_v[z] = weight_z
+    weight_v[z] = inst.k_v + 1
     cost_v = dict(inst.cost_v)
-    cost_v[z] = cost_z
+    cost_v[z] = 0
     weight_e = dict(inst.weight_e)
     cost_e = dict(inst.cost_e)
     for u in nbrs:
         e = edge_key(z, u)
-        weight_e[e] = edge_weight
-        cost_e[e] = edge_cost
+        weight_e[e] = inst.k_e + 1
+        cost_e[e] = 0
     return replace(inst, graph=g, delta=delta, weight_v=weight_v,
                    weight_e=weight_e, cost_v=cost_v, cost_e=cost_e)
 

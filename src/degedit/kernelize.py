@@ -1,13 +1,14 @@
 """Polynomial kernelization for both problem variants.
 
 Pipeline: normalize, find a distance-2 dominating set, build a protrusion
-decomposition, then compute candidate sets (W, L) by solving every boundary
-configuration of every part with the treewidth solver; some minimum-cost
+decomposition, then compute candidate sets (W, L) from one treewidth-solver
+table per boundary shape of every part, rooted at the kept boundary so that
+its root answers every vector of boundary targets; some minimum-cost
 solution of a yes-instance deletes only candidate vertices and edges, which
 licenses the reduction rules that shrink everything outside them.  In the
-connected variant a configuration also attaches cover gadget vertices, and
-configurations whose gadget graph is not planar are never enumerated: one
-planarity test per part decides them all.
+connected variant a shape also attaches cover gadget vertices, and shapes
+whose gadget graph is not planar are never enumerated: one planarity test
+per part decides them all.
 
 The fifteen reduction rules are handlers on the rewrite state that
 normalization also runs on (``normalize.KernelState``): each changes the
@@ -24,9 +25,9 @@ only the size guarantee (the ``certified`` flag), never equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import combinations
 
-from .dpsolve import PreparedSolve
+from .dpsolve import PreparedSolve, best_within
 from .errors import CapacityError
 from .graph import Graph, edge_key, is_planar, verify_bipartite_planar_bound
 from .instance import (CONNECTED, PLAIN, Instance, add_pendant, contract,
@@ -74,7 +75,6 @@ class BoundaryConfig:
     """One subproblem shape on a part's closed neighbourhood."""
     removed_vertices: frozenset[int]                  # deleted boundary vertices
     removed_edges: frozenset[tuple[int, int]]         # deleted boundary edges
-    targets: tuple[tuple[int, int], ...]              # boundary vertex -> target
     cover: tuple[tuple[int, ...], ...] | None = None  # connected variant blocks
 
 
@@ -114,8 +114,6 @@ def enumerate_configs(part: Part, inst: Instance) -> list[BoundaryConfig]:
         raise CapacityError(
             f"part boundary {len(boundary)} exceeds configured cap {cap}")
     g = inst.graph
-    span = inst.k_v + inst.k_e
-    closed = part.closed
     connected = inst.variant == CONNECTED
     # One test decides the whole part (see DEFAULT_ALPHA_CAP_CONNECTED): a
     # pair block {a, b} adds the same path a–z–b to G[closed] in every
@@ -123,7 +121,7 @@ def enumerate_configs(part: Part, inst: Instance) -> list[BoundaryConfig]:
     nonplanar_block = None
     if connected and len(boundary) == 2 and not g.has_edge(*boundary):
         z = max(g.vertices) + 1
-        if not is_planar(g.subgraph(closed).add_vertex(z, boundary)):
+        if not is_planar(g.subgraph(part.closed).add_vertex(z, boundary)):
             nonplanar_block = tuple(boundary)
     out: list[BoundaryConfig] = []
     for x_bits in range(1 << len(boundary)):
@@ -131,31 +129,13 @@ def enumerate_configs(part: Part, inst: Instance) -> list[BoundaryConfig]:
                             if (x_bits >> i) & 1)
         kept = tuple(v for v in boundary if v not in removed)
         pool = _boundary_edge_pool(g, kept)
+        covers = [c for c in _covers(kept) if nonplanar_block not in c] \
+            if connected else [None]
         for y_bits in range(1 << len(pool)):
             removed_edges = frozenset(pool[i] for i in range(len(pool))
                                       if (y_bits >> i) & 1)
-            # degrees in the part's closed neighbourhood after the removals
-            deg_f = {}
-            for v in kept:
-                d = sum(1 for u in g.neighbors(v)
-                        if u in closed and u not in removed)
-                d -= sum(1 for e in removed_edges if v in e)
-                deg_f[v] = d
-            covers = [c for c in _covers(kept) if nonplanar_block not in c] \
-                if connected else [None]
-            for cover in covers:
-                # target windows are relative to the gadget graph, whose
-                # boundary degrees grow by the undeletable cover edges
-                if cover:
-                    deg = {v: deg_f[v] + sum(1 for block in cover if v in block)
-                           for v in kept}
-                else:
-                    deg = deg_f
-                windows = [[(v, t) for t in range(max(0, deg[v] - span),
-                                                  deg[v] + 1)] for v in kept]
-                for targets in product(*windows):
-                    out.append(BoundaryConfig(removed, removed_edges,
-                                              targets, cover))
+            out.extend(BoundaryConfig(removed, removed_edges, cover)
+                       for cover in covers)
     return out
 
 
@@ -165,18 +145,18 @@ def build_boundary_instance(config: BoundaryConfig, part: Part, inst: Instance
     with the ids of its cover gadget vertices.
 
     Boundary survivors and (for the connected variant) cover gadget
-    vertices are priced out of deletion.
+    vertices are priced out of deletion.  Survivors get target 0: the DP
+    reads their targets off its root (see ``dpsolve``).
     """
     g = inst.graph
     closed = part.closed
     sub = g.subgraph(closed).delete_vertices(config.removed_vertices)
     sub = sub.delete_edges(config.removed_edges)
-    targets = dict(config.targets)
     kept_boundary = part.boundary - config.removed_vertices
     delta, weight_v, cost_v = {}, {}, {}
     for v in sub.vertices:
         if v in kept_boundary:
-            delta[v] = targets[v]
+            delta[v] = 0
             weight_v[v] = inst.k_v + 1
         else:
             delta[v] = inst.delta[v]
@@ -221,14 +201,15 @@ class CandidateSets:
 
 
 def _patched_ntd(cert: TreeDecomposition, removed: frozenset[int],
-                 gadget: frozenset[int]) -> NiceTreeDecomposition:
-    bags = tuple((b - removed) | gadget for b in cert.bags)
-    return to_nice(TreeDecomposition(bags, cert.tree_edges))
+                 top: frozenset[int]) -> NiceTreeDecomposition:
+    bags = tuple((b - removed) | top for b in cert.bags)
+    return to_nice(TreeDecomposition(bags, cert.tree_edges), top)
 
 
 def compute_candidate_sets(inst: Instance, pd: ProtrusionDecomposition
                            ) -> CandidateSets:
-    """Union of minimum-cost subsolutions over all parts and configurations.
+    """Union of minimum-cost subsolutions over all parts, configurations,
+    boundary targets and budget pairs.
 
     Parts whose boundary exceeds the cap contribute themselves wholesale,
     which preserves equivalence and only weakens the size guarantee.
@@ -261,19 +242,21 @@ def compute_candidate_sets(inst: Instance, pd: ProtrusionDecomposition
             cache_key = (cfg.removed_vertices, len(gadget))
             if cache_key not in ntd_cache:
                 ntd_cache[cache_key] = _patched_ntd(
-                    part.cert, cfg.removed_vertices, gadget)
-            # one run at the full budgets answers every budget pair
+                    part.cert, cfg.removed_vertices,
+                    (part.boundary - cfg.removed_vertices) | gadget)
+            # one run answers every budget pair of every target vector
             ps = PreparedSolve(sub_inst, ntd_cache[cache_key], check=False)
-            for hv, he in budget_pairs:
-                sol = ps.solve(hv, he)
-                if sol is None:
-                    continue
-                if sol.deleted_vertices & gadget:
-                    raise RuntimeError("part solution deletes a gadget vertex")
-                if not sol.deleted_vertices <= part.vertices:
-                    raise RuntimeError("part solution deletes outside the part")
-                w_i |= sol.deleted_vertices
-                l_i |= sol.deleted_edges
+            for rows in ps.answers.values():
+                for hv, he in budget_pairs:
+                    sol = best_within(ps.ctx, rows, hv, he)
+                    if sol is None:
+                        continue
+                    if sol.deleted_vertices & gadget:
+                        raise RuntimeError("part solution deletes a gadget vertex")
+                    if not sol.deleted_vertices <= part.vertices:
+                        raise RuntimeError("part solution deletes outside the part")
+                    w_i |= sol.deleted_vertices
+                    l_i |= sol.deleted_edges
         if not all(e[0] in part.vertices or e[1] in part.vertices for e in l_i):
             raise RuntimeError("candidate edge does not touch its part")
         per_part.append((frozenset(w_i), frozenset(l_i)))
@@ -431,7 +414,7 @@ def _rule_s_contraction_1(state: KernelState) -> str:
         state.next_id += 1
         return state.commit("s-contraction-1", (a, b, z), contract(
             inst, a, b, z, slack=0, weight_z=inst.k_v + 1, cost_z=0,
-            edge_policy=("fixed", inst.k_e + 1, 0)))
+            inherit=False))
     return NOT_APPLICABLE
 
 
@@ -501,13 +484,11 @@ def _rule_s_contraction_2(state: KernelState) -> str:
             state.next_id += 1
             minted.append(z)
             cur = delete_edges(cur, [edge_key(v, x)], {})
-            cur = add_pendant(cur, z, (v, x), delta_z=2,
-                              weight_z=inst.k_v + 1, cost_z=0,
-                              edge_weight=inst.k_e + 1, edge_cost=0)
+            cur = add_pendant(cur, z, (v, x))
         y = state.next_id
         state.next_id += 1
         merged = contract(cur, u, v, y, slack=slack, weight_z=inst.k_v + 1,
-                          cost_z=0, edge_policy="inherit")
+                          cost_z=0, inherit=True)
         if merged is None:
             raise RuntimeError("merged target below zero")
         # candidate edges of u live on at the merged vertex
@@ -575,8 +556,7 @@ def _rule_t_prime_contraction(state: KernelState) -> str:
         state.next_id += 1
         out = contract(cur, min(v, y), max(v, y), z,
                        slack=cur.graph.degree(y) - cur.delta[y],
-                       weight_z=inst.k_v + 1, cost_z=0,
-                       edge_policy=("fixed", inst.k_e + 1, 0))
+                       weight_z=inst.k_v + 1, cost_z=0, inherit=False)
         if out is None:
             return state.decide("t-prime-contraction", (v, mate, y), DECIDED_NO)
         return state.commit("t-prime-contraction", (v, mate, y, z), out)

@@ -166,8 +166,7 @@ def _rule_contraction(state: KernelState) -> str:
             return state.commit(CONTRACTION, (u, v), contract(
                 inst, u, v, max(g.vertices) + 1, slack=0,
                 weight_z=inst.weight_v[u] + inst.weight_v[v],
-                cost_z=inst.cost_v[u] + inst.cost_v[v],
-                edge_policy=("fixed", inst.k_e + 1, 0)))
+                cost_z=inst.cost_v[u] + inst.cost_v[v], inherit=False))
     return NOT_APPLICABLE
 
 

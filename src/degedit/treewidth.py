@@ -67,7 +67,8 @@ class NiceTreeDecomposition:
 
     Node kinds: empty-bag leaves, introduce/forget of a single vertex, and
     joins of two equal-bag children.  The root is the last node and is a
-    forget node with an empty bag (a lone empty leaf for the empty graph).
+    forget node with an empty bag (a lone empty leaf for the empty graph),
+    unless ``to_nice`` was given a nonempty ``root_bag``.
     """
     kinds: tuple[str, ...]
     bags: tuple[frozenset[int], ...]
@@ -317,19 +318,17 @@ class _NiceBuilder:
                                      tuple(self.children), tuple(self.vertex))
 
 
-def to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
-    """Convert to nice form of the same width.
+def to_nice(td: TreeDecomposition, root_bag: frozenset[int] = frozenset()
+            ) -> NiceTreeDecomposition:
+    """Convert to nice form, rooted at ``root_bag``.
 
-    Rejects input whose tree structure is invalid; the conditions against a
-    graph are checked by ``validate``.
+    Only the final chain depends on ``root_bag``, and the width is td's
+    unless ``root_bag`` is larger than every bag; a DP keeps the state of
+    its vertices up to the root.  Rejects input whose tree structure is
+    invalid; the conditions against a graph are checked by ``validate``.
     """
     if not _is_tree(len(td.bags), td.tree_edges):
         raise ValueError("invalid decomposition: tree structure invalid")
-
-    if len(td.bags) == 1 and not td.bags[0]:
-        b = _NiceBuilder()
-        b.add(LEAF, frozenset())
-        return b.build()
 
     b = _NiceBuilder()
     root = 0
@@ -353,6 +352,5 @@ def to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         for arm in arms[1:]:
             node = b.add(JOIN, bag, (node, arm))
         done[i] = node
-    top = done[root]
-    b.chain(top, td.bags[root], frozenset())
+    b.chain(done[root], td.bags[root], root_bag)
     return b.build()

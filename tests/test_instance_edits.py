@@ -206,9 +206,10 @@ def ref_delete_edges(inst, es, delta_updates):
     return inst
 
 
-def ref_contract_slack(inst, a, b, z, *, slack, **kw):
+def ref_contract_slack(inst, a, b, z, *, slack, inherit, **kw):
     """A contraction with the arithmetic the rules wrote out before
-    ``contract`` took it over."""
+    ``contract`` took it over, and the edge policy every rule passed for
+    ``inherit``: "inherit", or ("fixed", k_e + 1, 0)."""
     g = inst.graph
     delta_z = len((g.neighbors(a) | g.neighbors(b)) - {a, b}) - slack
     if delta_z < 0:
@@ -216,7 +217,15 @@ def ref_contract_slack(inst, a, b, z, *, slack, **kw):
     common = (g.neighbors(a) & g.neighbors(b)) - {a, b}
     return ref_contract(inst, a, b, z, delta_z=delta_z,
                         delta_updates={x: max(0, inst.delta[x] - 1) for x in common},
+                        edge_policy="inherit" if inherit else ("fixed", inst.k_e + 1, 0),
                         **kw)
+
+
+def ref_add_undeletable_pendant(inst, z, nbrs):
+    """A pendant with the values s-contraction-2 passed before ``add_pendant``
+    fixed them."""
+    return ref_add_pendant(inst, z, nbrs, delta_z=len(nbrs), weight_z=inst.k_v + 1,
+                           cost_z=0, edge_weight=inst.k_e + 1, edge_cost=0)
 
 
 def test_edits_match_reference_on_random_corpus():
@@ -241,11 +250,8 @@ def test_edits_match_reference_on_random_corpus():
              ref_delete_vertices(ref_with_delta(inst, updates), dropped,
                                  charge=False))
         nbrs = tuple(rng.sample(vs, min(len(vs), 2)))
-        kw = dict(delta_z=rng.randint(0, 2), weight_z=rng.randint(1, 3),
-                  cost_z=rng.randint(0, 2), edge_weight=rng.randint(1, 3),
-                  edge_cost=rng.randint(0, 2))
-        same(add_pendant(inst, fresh, nbrs, **kw),
-             ref_add_pendant(inst, fresh, nbrs, **kw))
+        same(add_pendant(inst, fresh, nbrs),
+             ref_add_undeletable_pendant(inst, fresh, nbrs))
         es = list(g.edges())
         star = [e for e in es if vs[0] in e]
         ends = {x: rng.randint(0, 3) for e in star for x in e}
@@ -257,19 +263,19 @@ def test_edits_match_reference_on_random_corpus():
             same(delete_edges(inst, [(a, b)], ends),
                  ref_delete_edge(inst, (a, b), ends))
             common = (g.neighbors(a) & g.neighbors(b)) - {a, b}
-            policies = [("fixed", inst.k_e + 1, rng.randint(0, 2))]
+            inherits = [False]
             if not common:
-                policies.append("inherit")
+                inherits.append(True)
             else:
                 with pytest.raises(RuntimeError, match="inherit policy"):
                     contract(inst, a, b, fresh, slack=0, weight_z=1,
-                             cost_z=0, edge_policy="inherit")
+                             cost_z=0, inherit=True)
             union = len((g.neighbors(a) | g.neighbors(b)) - {a, b})
-            for policy in policies:
+            for inherit in inherits:
                 # slack up to one past the union size reaches a negative target
                 kw = dict(slack=rng.randint(0, union + 1),
                           weight_z=rng.randint(1, 3), cost_z=rng.randint(0, 2),
-                          edge_policy=policy)
+                          inherit=inherit)
                 same(contract(inst, a, b, fresh, **kw),
                      ref_contract_slack(inst, a, b, fresh, **kw))
 

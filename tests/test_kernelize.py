@@ -1,15 +1,17 @@
 import hashlib
-import random
+from dataclasses import dataclass
 
 import pytest
 
+from degedit.dpsolve import PreparedSolve
 from degedit.errors import CapacityError
 import degedit.kernelize
-from degedit.graph import Graph, is_planar
-from degedit.instance import CONNECTED, PLAIN, Solution, check_solution
-from degedit.kernelize import (KERNEL, BoundaryConfig, _boundary_edge_pool,
-                               _check_t2_components, _covers,
-                               alpha_cap_for, build_boundary_instance,
+from degedit.graph import Graph, edge_key, is_planar
+from degedit.instance import CONNECTED, PLAIN, Instance
+from degedit.kernelize import (KERNEL, BoundaryConfig, CandidateSets,
+                               _boundary_edge_pool, _check_t2_components,
+                               _covers, _patched_ntd, alpha_cap_for,
+                               build_boundary_instance,
                                compute_candidate_sets, enumerate_configs,
                                format_trace, kernelize, reduce_dpggd,
                                size_bound_report)
@@ -18,7 +20,7 @@ from degedit.oracle import brute_force_min_cost
 from degedit.protrusion import (Part, ProtrusionDecomposition,
                                 build_protrusion_decomposition,
                                 greedy_2_dominating_set)
-from degedit.treewidth import decompose
+from degedit.treewidth import TreeDecomposition, decompose, to_nice
 
 import forges
 from conftest import cycle_instance, make_instance, random_corpus
@@ -32,12 +34,28 @@ def _part_for(inst, vertices):
     return Part(verts, boundary, decompose(sub))
 
 
-# -- the per-configuration gadget filter, kept as the reference ----------------
+# -- per-target configurations and candidate sets, kept as the reference -----
+
+
+@dataclass(frozen=True)
+class RefConfig:
+    """A boundary configuration as it was before the part table answered
+    every target: a shape plus one target per kept boundary vertex."""
+    removed_vertices: frozenset[int]
+    removed_edges: frozenset[tuple[int, int]]
+    targets: tuple[tuple[int, int], ...]
+    cover: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def shape(self):
+        return BoundaryConfig(self.removed_vertices, self.removed_edges,
+                              self.cover)
 
 
 def ref_all_configs(part, inst):
-    """Every valid boundary configuration, as ``enumerate_configs`` listed
-    them before it left out non-planar gadgets."""
+    """Every valid boundary configuration with its target windows, as
+    ``enumerate_configs`` listed them before it left out non-planar gadgets
+    and before targets were read off the part table."""
     cap = alpha_cap_for(inst.variant)
     boundary = sorted(part.boundary)
     if len(boundary) > cap:
@@ -69,8 +87,7 @@ def ref_all_configs(part, inst):
                 else:
                     deg = deg_f
                 for targets in ref_target_choices(kept, deg, span):
-                    out.append(BoundaryConfig(removed, removed_edges,
-                                              targets, cover))
+                    out.append(RefConfig(removed, removed_edges, targets, cover))
     return out
 
 
@@ -91,18 +108,109 @@ def ref_target_choices(kept, deg_f, span):
     yield from rec(0, [])
 
 
+def ref_boundary_instance(config, part, inst):
+    """``build_boundary_instance`` as it was: boundary survivors at the
+    configuration's targets."""
+    g = inst.graph
+    closed = part.closed
+    sub = g.subgraph(closed).delete_vertices(config.removed_vertices)
+    sub = sub.delete_edges(config.removed_edges)
+    targets = dict(config.targets)
+    kept_boundary = part.boundary - config.removed_vertices
+    delta, weight_v, cost_v = {}, {}, {}
+    for v in sub.vertices:
+        if v in kept_boundary:
+            delta[v] = targets[v]
+            weight_v[v] = inst.k_v + 1
+        else:
+            delta[v] = inst.delta[v]
+            weight_v[v] = inst.weight_v[v]
+        cost_v[v] = inst.cost_v[v]
+    weight_e, cost_e = {}, {}
+    for e in sub.edge_set():
+        if e[0] in kept_boundary and e[1] in kept_boundary:
+            weight_e[e] = inst.k_e + 1
+        else:
+            weight_e[e] = inst.weight_e[e]
+        cost_e[e] = inst.cost_e[e]
+
+    if config.cover is None:
+        return Instance(sub, delta, weight_v, weight_e, cost_v, cost_e,
+                        inst.k_v, inst.k_e, inst.cost_budget,
+                        PLAIN), frozenset()
+
+    base = max(g.vertices, default=0) + 1
+    gadget = frozenset(range(base, base + len(config.cover)))
+    for i, block in enumerate(config.cover):
+        z = base + i
+        sub = sub.add_vertex(z, block)
+        delta[z] = len(block)
+        weight_v[z] = inst.k_v + 1
+        cost_v[z] = 0
+        for u in block:
+            e = edge_key(z, u)
+            weight_e[e] = inst.k_e + 1
+            cost_e[e] = 0
+    return Instance(sub, delta, weight_v, weight_e, cost_v, cost_e,
+                    inst.k_v, inst.k_e, inst.cost_budget,
+                    CONNECTED), gadget
+
+
+def ref_patched_ntd(cert, removed, gadget):
+    """The part's decomposition less the removed boundary, with the gadget
+    in every bag, rooted at an empty bag."""
+    bags = tuple((b - removed) | gadget for b in cert.bags)
+    return to_nice(TreeDecomposition(bags, cert.tree_edges))
+
+
 def ref_configs(part, inst):
     """The configurations that get solved: each connected one is kept when
     its gadget graph is planar."""
     return [cfg for cfg in ref_all_configs(part, inst)
             if cfg.cover is None
-            or is_planar(build_boundary_instance(cfg, part, inst)[0].graph)]
+            or is_planar(ref_boundary_instance(cfg, part, inst)[0].graph)]
 
 
-def ref_candidate_sets(inst, pd, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(degedit.kernelize, "enumerate_configs", ref_configs)
-        return compute_candidate_sets(inst, pd)
+def ref_shapes(part, inst):
+    """The distinct shapes of ``ref_configs``, in their order."""
+    return list(dict.fromkeys(cfg.shape for cfg in ref_configs(part, inst)))
+
+
+def ref_candidate_sets(inst, pd):
+    """``compute_candidate_sets`` as it was: one DP per configuration and
+    target vector, each read at every budget pair."""
+    g = inst.graph
+    w = set(pd.r0)
+    l = {e for e in g.edges() if e[0] in pd.r0 and e[1] in pd.r0}
+    per_part, skipped = [], []
+    for pi, part in enumerate(pd.parts):
+        try:
+            configs = ref_configs(part, inst)
+        except CapacityError:
+            skipped.append(pi)
+            w_i = frozenset(part.vertices)
+            l_i = frozenset(e for e in g.edges()
+                            if e[0] in part.vertices or e[1] in part.vertices)
+            per_part.append((w_i, l_i))
+            w |= w_i
+            l |= l_i
+            continue
+        w_i, l_i = set(), set()
+        for cfg in configs:
+            sub_inst, gadget = ref_boundary_instance(cfg, part, inst)
+            ps = PreparedSolve(sub_inst, ref_patched_ntd(
+                part.cert, cfg.removed_vertices, gadget), check=False)
+            for hv in range(inst.k_v + 1):
+                for he in range(inst.k_e + 1):
+                    sol = ps.solve(hv, he)
+                    if sol is not None:
+                        w_i |= sol.deleted_vertices
+                        l_i |= sol.deleted_edges
+        per_part.append((frozenset(w_i), frozenset(l_i)))
+        w |= w_i
+        l |= l_i
+    return CandidateSets(frozenset(w), frozenset(l), tuple(per_part),
+                         tuple(skipped))
 
 
 def test_configs_empty_boundary_is_single_config():
@@ -112,21 +220,24 @@ def test_configs_empty_boundary_is_single_config():
     part = _part_for(inst, [1, 2, 3])
     assert part.boundary == frozenset()
     assert enumerate_configs(part, inst) == [
-        BoundaryConfig(frozenset(), frozenset(), (), None)]
+        BoundaryConfig(frozenset(), frozenset(), None)]
 
 
 def test_configs_single_boundary_count_bound():
-    # hand count: at most 2 choices of X * (1 + 3 targets)
+    # hand count: 2 choices of X; the kept vertex's targets, at most 3, are
+    # the loss groups of one table
     inst = make_instance([1, 2, 3], [(1, 2), (2, 3)], {1: 1, 2: 2, 3: 1},
                          k_v=1, k_e=1, cost_budget=3)
     part = _part_for(inst, [2, 3])
     assert part.boundary == {1}
     configs = enumerate_configs(part, inst)
-    assert len(configs) <= 2 * (1 + 3)
-    removed = {c.removed_vertices for c in configs}
-    assert removed == {frozenset(), frozenset({1})}
-    kept_targets = {c.targets for c in configs if not c.removed_vertices}
-    assert len(kept_targets) <= 3
+    assert configs == [BoundaryConfig(frozenset(), frozenset()),
+                       BoundaryConfig(frozenset({1}), frozenset())]
+    sub, _ = build_boundary_instance(configs[0], part, inst)
+    ps = PreparedSolve(sub, _patched_ntd(part.cert, frozenset(), frozenset({1})),
+                       check=False)
+    # 1 has degree 1 in the part, so its loss, deg - target, is 0 or 1
+    assert ps.answers and set(ps.answers) <= {(0,), (1,)}
 
 
 def test_cover_families_for_two_remnants():
@@ -153,25 +264,28 @@ def test_boundary_instance_prices_out_survivors():
     inst = cycle_instance(4, 1, k_v=1, k_e=2, cost_budget=2)
     part = _part_for(inst, [2, 3])
     assert part.boundary == {1, 4}
-    cfg = BoundaryConfig(frozenset(), frozenset(), ((1, 1), (4, 1)), None)
+    cfg = BoundaryConfig(frozenset(), frozenset(), None)
     sub, gadget = build_boundary_instance(cfg, part, inst)
     assert gadget == frozenset()
     assert sub.weight_v[1] == inst.k_v + 1
     assert sub.weight_v[4] == inst.k_v + 1
     assert sub.weight_v[2] == inst.weight_v[2]
-    assert sub.delta[1] == 1 and sub.delta[2] == inst.delta[2]
+    # survivors' targets are read off the table, so each is built at 0
+    assert sub.delta[1] == sub.delta[4] == 0
+    assert sub.delta[2] == inst.delta[2]
 
 
 def test_boundary_instance_gadget_structure():
     inst = cycle_instance(4, 1, k_v=1, k_e=2, cost_budget=2,
                           variant=CONNECTED)
     part = _part_for(inst, [2, 3])
-    cfg = BoundaryConfig(frozenset(), frozenset(), ((1, 2), (4, 2)), ((1, 4),))
+    cfg = BoundaryConfig(frozenset(), frozenset(), ((1, 4),))
     sub, gadget = build_boundary_instance(cfg, part, inst)
     assert len(gadget) == 1
     z = next(iter(gadget))
     assert sub.graph.neighbors(z) == {1, 4}
     assert sub.delta[z] == 2
+    assert sub.delta[1] == sub.delta[4] == 0
     assert sub.weight_v[z] == inst.k_v + 1
     assert sub.cost_v[z] == 0
     for u in (1, 4):
@@ -184,7 +298,7 @@ def test_boundary_instance_full_removal_drops_gadget():
     inst = cycle_instance(4, 1, k_v=2, k_e=2, cost_budget=4,
                           variant=CONNECTED)
     part = _part_for(inst, [2, 3])
-    cfg = BoundaryConfig(frozenset({1, 4}), frozenset(), (), ())
+    cfg = BoundaryConfig(frozenset({1, 4}), frozenset(), ())
     sub, gadget = build_boundary_instance(cfg, part, inst)
     assert gadget == frozenset()
     assert sub.graph.vertices == {2, 3}
@@ -200,16 +314,15 @@ def test_configs_pair_gadget_off_an_edge_is_tested():
     part = _part_for(inst, [2, 3, 5, 6])
     assert part.boundary == {1, 4}
     configs = enumerate_configs(part, inst)
-    assert configs == ref_configs(part, inst)
+    assert configs == ref_shapes(part, inst)
     covers = {cfg.cover for cfg in configs if not cfg.removed_vertices}
     assert covers == {((1,), (4,))}
-    cfg = BoundaryConfig(frozenset(), frozenset(), ((1, 3), (4, 3)),
-                         ((1,), (4,)))
+    cfg = BoundaryConfig(frozenset(), frozenset(), ((1,), (4,)))
     assert cfg in configs
     assert is_planar(build_boundary_instance(cfg, part, inst)[0].graph)
 
 
-def test_configs_leave_out_a_nonplanar_pair_gadget(monkeypatch):
+def test_configs_leave_out_a_nonplanar_pair_gadget():
     # K5 less the edge 1-2, with a pendant on 1 and one on 2: the pair
     # block's path 1-z-2 gives a subdivided K5 for every cover holding it
     edges = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)
@@ -221,11 +334,13 @@ def test_configs_leave_out_a_nonplanar_pair_gadget(monkeypatch):
     (part,) = [p for p in pd.parts if p.vertices == {3, 4, 5}]
     assert part.boundary == {1, 2}
     configs = enumerate_configs(part, inst)
-    assert len(ref_all_configs(part, inst)) == 43
-    assert len(configs) == 16 and configs == ref_configs(part, inst)
+    every = ref_all_configs(part, inst)
+    assert len(every) == 43 and len(ref_configs(part, inst)) == 16
+    # 7 shapes, of which the 3 with a cover holding (1, 2) are left out
+    assert len({cfg.shape for cfg in every}) == 7
+    assert len(configs) == 4 and configs == ref_shapes(part, inst)
     assert not any((1, 2) in cfg.cover for cfg in configs)
-    assert compute_candidate_sets(inst, pd) == \
-        ref_candidate_sets(inst, pd, monkeypatch)
+    assert compute_candidate_sets(inst, pd) == ref_candidate_sets(inst, pd)
 
 
 def _gadget_corpus():
@@ -282,7 +397,71 @@ def test_configs_match_the_per_configuration_filter(monkeypatch):
                      and not inst.graph.has_edge(*sorted(part.boundary)))
     assert pair_parts > 100 and len(tests) == pair_parts
     for part, inst, configs in enumerated:
-        assert configs == ref_configs(part, inst)
+        assert configs == ref_shapes(part, inst)
+
+
+def test_root_groups_match_per_target_runs():
+    # a connected part whose boundary pair shares an edge: the table of each
+    # shape, rooted at the kept boundary and the gadget, holds under each
+    # loss tuple exactly the root rows of the run at targets deg - loss
+    inst = cycle_instance(4, 1, k_v=1, k_e=2, cost_budget=2, variant=CONNECTED)
+    part = _part_for(inst, [2, 3])
+    assert part.boundary == {1, 4}
+    groups = []
+    for shape in enumerate_configs(part, inst):
+        sub, gadget = build_boundary_instance(shape, part, inst)
+        top = (part.boundary - shape.removed_vertices) | gadget
+        table = PreparedSolve(
+            sub, _patched_ntd(part.cert, shape.removed_vertices, top), check=False)
+        expected = {}
+        for cfg in ref_configs(part, inst):
+            if cfg.shape != shape:
+                continue
+            ref_sub, ref_gadget = ref_boundary_instance(cfg, part, inst)
+            assert ref_gadget == gadget and ref_sub.graph == sub.graph
+            rows = PreparedSolve(ref_sub, ref_patched_ntd(
+                part.cert, cfg.removed_vertices, gadget)).answers.get((), [])
+            if rows:
+                loss = tuple(sub.graph.degree(v) - t for v, t in cfg.targets)
+                expected[loss + (0,) * len(gadget)] = rows
+        assert table.answers == expected, shape
+        groups.append(len(expected))
+    assert sum(groups) >= 10 and max(groups) >= 3, groups
+
+
+def test_candidate_sets_match_the_per_target_reference(monkeypatch):
+    # part by part, one table per boundary shape gives the W and L of one
+    # DP per target vector
+    compute = degedit.kernelize.compute_candidate_sets
+    solved = []
+
+    def both(inst, pd):
+        cs = compute(inst, pd)
+        assert cs == ref_candidate_sets(inst, pd)
+        solved.extend((inst.variant, len(part.boundary))
+                      for i, part in enumerate(pd.parts) if i not in cs.skipped)
+        return cs
+
+    monkeypatch.setattr(degedit.kernelize, "compute_candidate_sets", both)
+    runs = list(_gadget_corpus()) + [
+        (inst, None) for inst in random_corpus(300, 67_000, n_lo=4, n_hi=12)]
+    for inst, dom in runs:
+        kernelize(inst, domset=dom)
+    for variant in (PLAIN, CONNECTED):
+        for size in (1, 2):
+            assert solved.count((variant, size)) >= 20, (variant, size)
+    # no decomposition above gives a plain part a three-vertex boundary; a
+    # part of one degree-3 vertex has one
+    wide = 0
+    for inst in random_corpus(100, 69_000, n_lo=5, n_hi=10, variants=(PLAIN,)):
+        g = inst.graph
+        v = next((v for v in g.sorted_vertices() if g.degree(v) == 3), None)
+        if v is not None:
+            pd = ProtrusionDecomposition(g.vertices - {v}, (_part_for(inst, [v]),),
+                                         3, certified=False)
+            assert compute(inst, pd) == ref_candidate_sets(inst, pd)
+            wide += 1
+    assert wide >= 20
 
 
 def test_candidates_trivial_decomposition_take_everything():

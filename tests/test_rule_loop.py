@@ -19,9 +19,9 @@ from degedit.normalize import (CHANGED, DECIDED_YES, NORMALIZE_RULES,
 
 import forges
 from conftest import path_instance, random_corpus
-from test_instance_edits import (layout, ref_add_pendant, ref_contract_slack,
-                                 ref_delete_edges, ref_delete_vertices,
-                                 ref_with_delta)
+from test_instance_edits import (layout, ref_add_undeletable_pendant,
+                                 ref_contract_slack, ref_delete_edges,
+                                 ref_delete_vertices, ref_with_delta)
 
 # -- the replaced loops --------------------------------------------------------
 
@@ -94,7 +94,7 @@ def _use_reference(monkeypatch):
         monkeypatch.setattr(module, "delete_vertices", ref_delete_vertices_with)
         monkeypatch.setattr(module, "contract", ref_contract_slack)
     monkeypatch.setattr(kz, "delete_edges", ref_delete_edges)
-    monkeypatch.setattr(kz, "add_pendant", ref_add_pendant)
+    monkeypatch.setattr(kz, "add_pendant", ref_add_undeletable_pendant)
     monkeypatch.setattr(kz, "normalize", ref_normalize)
     monkeypatch.setattr(kz, "reduce_dpggd", ref_reduce_dpggd)
     monkeypatch.setattr(kz, "reduce_dcpggd", ref_reduce_dcpggd)

@@ -118,6 +118,26 @@ def test_to_nice_preserves_width_and_validates(rng):
         assert len(ntd) <= 6 * (g.n + len(td.bags) + 2)
 
 
+def test_to_nice_root_bag(rng):
+    # only the final chain changes: it stops at root_bag instead of emptying
+    # the top bag, and validate refuses the unforgotten root
+    checked = 0
+    for trial in range(200):
+        g = random_planar_graph(rng.randint(1, 10), rng)
+        td = decompose(g)
+        top = sorted(td.bags[0])
+        root_bag = frozenset(rng.sample(top, rng.randint(1, len(top))))
+        plain, rooted = to_nice(td), to_nice(td, root_bag)
+        shared = len(plain) - len(td.bags[0])  # nodes before the final chain
+        assert len(rooted) == shared + len(td.bags[0] - root_bag)
+        for field in ("kinds", "bags", "children", "vertex"):
+            assert getattr(rooted, field)[:shared] == getattr(plain, field)[:shared]
+        assert rooted.bags[rooted.root] == root_bag
+        assert validate(g, rooted).reason == "root bag must be empty", trial
+        checked += len(root_bag) < len(top)
+    assert checked >= 50
+
+
 def test_to_nice_rejects_invalid():
     g = path(3)
     broken = TreeDecomposition(
