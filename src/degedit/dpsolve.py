@@ -1,10 +1,16 @@
-"""Exact solvers over nice tree decompositions, plain and connected.
+"""Exact solver over nice tree decompositions, plain and connected.
+
+``solve_auto(inst)`` is the library entry: DPGGD and DCPGGD are
+``solve_auto`` on a plain and on a connected instance, and the DP reads
+the variant off the instance.  ``PreparedSolve(inst, ntd)`` runs the DP
+over the nice decomposition it is given; its ``solve`` answers at the
+instance's own budgets.
 
 Bottom-up tables are kept per node.  A key records, for the subgraph below
 the node: which bag vertices are deleted, which bag edges are deleted, the
 total loss so far of each kept bag vertex (its deleted neighbours plus its
 deleted incident edges, bag ones included), and the exact vertex and edge
-weight spent so far.  The connected solver additionally tracks the
+weight spent so far.  The connected variant additionally tracks the
 partition of kept bag vertices into components of the partial graph, plus a
 flag for a component that no longer meets the bag (legal only while no kept
 bag vertex remains; at most one such component can ever survive).
@@ -47,8 +53,8 @@ variant, the partitions, each at least one.  So
 ``(k_v + 1)(k_e + 1) << |bag|`` is a floor of the bound, and ``_guard``
 computes the bound itself only for a table above that floor.
 
-Solving without a given decomposition first cuts the instance down to the
-part a solution can reach (``active_region``).  Let S+ be the vertices
+``solve_auto`` without a given decomposition first cuts the instance down
+to the part a solution can reach (``active_region``).  Let S+ be the vertices
 above their target, and take an efficient feasible solution (U, D).  A
 kept vertex outside S+ can lose nothing, so every neighbour of a deleted
 vertex is deleted too unless it lies in S+: each x in U has
@@ -79,7 +85,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import Graph
-from .instance import CONNECTED, PLAIN, Instance, Solution
+from .instance import Instance, Solution
 from .treewidth import (FORGET, INTRODUCE, JOIN, LEAF, NiceTreeDecomposition,
                         decompose, to_nice, validate)
 
@@ -470,26 +476,23 @@ def best_within(ctx: _Ctx, answers, h_v: int, h_e: int) -> Solution | None:
 
 
 class PreparedSolve:
-    """One DP run; answers can be sliced per budget allowance afterwards."""
+    """One DP run over the given nice decomposition of inst, validated first
+    unless ``check`` is off.  ``solve`` reads the optimum at the instance's
+    own budgets; ``best_within`` reads any smaller pair off ``answers``."""
 
-    def __init__(self, inst: Instance, ntd: NiceTreeDecomposition | None = None,
-                 *, check: bool = True):
-        if ntd is None:
-            ntd = to_nice(decompose(inst.graph))
+    def __init__(self, inst: Instance, ntd: NiceTreeDecomposition, *,
+                 check: bool = True):
         if check:
             verdict = validate(inst.graph, ntd)
             if not verdict:
                 raise ValueError(f"invalid decomposition: {verdict.reason}")
         self.ctx = _prepare(inst, ntd)
         tables = run_tables(self.ctx)
-        self.root_table = tables[-1]
-        self.answers = root_answers(self.ctx, self.root_table)
+        self.answers = root_answers(self.ctx, tables[-1])
 
-    def solve(self, h_v: int | None = None, h_e: int | None = None) -> Solution | None:
+    def solve(self) -> Solution | None:
         inst = self.ctx.inst
-        return best_within(self.ctx, self.answers.get((), ()),
-                           inst.k_v if h_v is None else h_v,
-                           inst.k_e if h_e is None else h_e)
+        return best_within(self.ctx, self.answers.get((), ()), inst.k_v, inst.k_e)
 
 
 def active_region(inst: Instance) -> Instance | None:
@@ -558,30 +561,14 @@ def active_region(inst: Instance) -> Instance | None:
                     inst.variant)
 
 
-def _solve(inst: Instance, ntd, variant: str) -> Solution | None:
-    if inst.variant != variant:
-        raise ValueError(f"instance variant is {inst.variant!r}, expected {variant!r}")
+def solve_auto(inst: Instance, ntd: NiceTreeDecomposition | None = None
+               ) -> Solution | None:
+    """Minimum-cost efficient solution of inst, plain or connected as its
+    variant says, or None.  Without a decomposition, solves the active
+    region over one built for it."""
     if ntd is None:
         inst = active_region(inst)
         if inst is None:
             return None
+        ntd = to_nice(decompose(inst.graph))
     return PreparedSolve(inst, ntd).solve()
-
-
-def solve_dpggd_tw(inst: Instance, ntd: NiceTreeDecomposition | None = None
-                   ) -> Solution | None:
-    """Minimum-cost efficient solution of a plain instance, or None."""
-    return _solve(inst, ntd, PLAIN)
-
-
-def solve_dcpggd_tw(inst: Instance, ntd: NiceTreeDecomposition | None = None
-                    ) -> Solution | None:
-    """Connected variant of ``solve_dpggd_tw``."""
-    return _solve(inst, ntd, CONNECTED)
-
-
-def solve_auto(inst: Instance, ntd: NiceTreeDecomposition | None = None
-               ) -> Solution | None:
-    if inst.connected_variant:
-        return solve_dcpggd_tw(inst, ntd)
-    return solve_dpggd_tw(inst, ntd)

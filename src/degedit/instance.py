@@ -122,13 +122,15 @@ def delete_edges(inst: Instance, es: Iterable[tuple[int, int]],
 
 
 def contract(inst: Instance, a: int, b: int, z: int, *, slack: int,
-             weight_z: int, cost_z: int, inherit: bool) -> Instance | None:
+             rigid: bool, inherit: bool) -> Instance | None:
     """Contract edge ab into z.
 
     z's target is |N(a) ∪ N(b) − {a, b}| − ``slack``, and every common
     neighbour of a and b loses one target degree (not below 0); None when
-    z's target would be negative.  Edges at z are undeletable and free, or,
-    with ``inherit`` (no common neighbour allowed), keep their old terms.
+    z's target would be negative.  A ``rigid`` z is undeletable and free
+    (weight k_v + 1, cost 0); otherwise it weighs and costs what a and b
+    did together.  Edges at z are undeletable and free, or, with
+    ``inherit`` (no common neighbour allowed), keep their old terms.
     """
     g = inst.graph
     na, nb = g.neighbors(a), g.neighbors(b)
@@ -146,9 +148,9 @@ def contract(inst: Instance, a: int, b: int, z: int, *, slack: int,
         delta[x] = max(0, delta[x] - 1)
     delta[z] = delta_z
     weight_v = {v: inst.weight_v[v] for v in g2.vertices if v != z}
-    weight_v[z] = weight_z
+    weight_v[z] = inst.k_v + 1 if rigid else inst.weight_v[a] + inst.weight_v[b]
     cost_v = {v: inst.cost_v[v] for v in g2.vertices if v != z}
-    cost_v[z] = cost_z
+    cost_v[z] = 0 if rigid else inst.cost_v[a] + inst.cost_v[b]
     weight_e, cost_e = {}, {}
     for e in g2.edge_set():
         if z in e:

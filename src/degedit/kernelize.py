@@ -413,8 +413,7 @@ def _rule_s_contraction_1(state: KernelState) -> str:
         z = state.next_id
         state.next_id += 1
         return state.commit("s-contraction-1", (a, b, z), contract(
-            inst, a, b, z, slack=0, weight_z=inst.k_v + 1, cost_z=0,
-            inherit=False))
+            inst, a, b, z, slack=0, rigid=True, inherit=False))
     return NOT_APPLICABLE
 
 
@@ -487,8 +486,7 @@ def _rule_s_contraction_2(state: KernelState) -> str:
             cur = add_pendant(cur, z, (v, x))
         y = state.next_id
         state.next_id += 1
-        merged = contract(cur, u, v, y, slack=slack, weight_z=inst.k_v + 1,
-                          cost_z=0, inherit=True)
+        merged = contract(cur, u, v, y, slack=slack, rigid=True, inherit=True)
         if merged is None:
             raise RuntimeError("merged target below zero")
         # candidate edges of u live on at the merged vertex
@@ -556,7 +554,7 @@ def _rule_t_prime_contraction(state: KernelState) -> str:
         state.next_id += 1
         out = contract(cur, min(v, y), max(v, y), z,
                        slack=cur.graph.degree(y) - cur.delta[y],
-                       weight_z=inst.k_v + 1, cost_z=0, inherit=False)
+                       rigid=True, inherit=False)
         if out is None:
             return state.decide("t-prime-contraction", (v, mate, y), DECIDED_NO)
         return state.commit("t-prime-contraction", (v, mate, y, z), out)

@@ -164,9 +164,8 @@ def _rule_contraction(state: KernelState) -> str:
             # neighbour is satisfied and loses one degree
             u = min(g.neighbors(v))
             return state.commit(CONTRACTION, (u, v), contract(
-                inst, u, v, max(g.vertices) + 1, slack=0,
-                weight_z=inst.weight_v[u] + inst.weight_v[v],
-                cost_z=inst.cost_v[u] + inst.cost_v[v], inherit=False))
+                inst, u, v, max(g.vertices) + 1, slack=0, rigid=False,
+                inherit=False))
     return NOT_APPLICABLE
 
 

@@ -173,10 +173,9 @@ def brute_force_min_cost(inst: Instance, *,
     )
 
 
-def equivalence_check(a: Instance, b: Instance, **caps) -> bool:
+def equivalence_check(a: Instance, b: Instance) -> bool:
     """Whether two instances agree on feasibility."""
-    return brute_force_min_cost(a, **caps).feasible == \
-        brute_force_min_cost(b, **caps).feasible
+    return brute_force_min_cost(a).feasible == brute_force_min_cost(b).feasible
 
 
 def _record(best_cost, optima, truncated, cost, u_mask, d_mask, cap):

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from degedit.dpsolve import (PreparedSolve, _guard, _key_bound, _prepare,
-                             active_region, process_node, solve_auto,
-                             solve_dcpggd_tw, solve_dpggd_tw)
+                             active_region, best_within, process_node,
+                             solve_auto)
 from degedit.generator import generate_random_planar_instance
 from degedit.instance import CONNECTED, PLAIN, check_solution, is_efficient
 from degedit.io import format_solution
@@ -18,14 +18,14 @@ from conftest import cycle_instance, make_instance, path_instance, random_corpus
 
 def test_triangle_zero_budgets():
     inst = make_instance([1, 2, 3], [(1, 2), (1, 3), (2, 3)], 2)
-    sol = solve_dpggd_tw(inst)
+    sol = solve_auto(inst)
     assert sol is not None and sol.total_cost == 0
     assert sol.canonical() == ((), ())
 
 
 def test_c4_plain_matching():
     inst = cycle_instance(4, 1, k_e=2, cost_budget=2)
-    sol = solve_dpggd_tw(inst)
+    sol = solve_auto(inst)
     assert sol is not None and sol.total_cost == 2
     # lexicographically smallest of the two optimal matchings
     assert sol.canonical() == ((), ((1, 2), (3, 4)))
@@ -33,18 +33,18 @@ def test_c4_plain_matching():
 
 def test_p3_infeasible():
     inst = path_instance(3, 1, k_e=1, cost_budget=9)
-    assert solve_dpggd_tw(inst) is None
+    assert solve_auto(inst) is None
 
 
 def test_c4_connected_infeasible():
     inst = cycle_instance(4, 1, k_e=2, cost_budget=2, variant=CONNECTED)
-    assert solve_dcpggd_tw(inst) is None
+    assert solve_auto(inst) is None
 
 
 def test_triangle_connected_trivial():
     inst = make_instance([1, 2, 3], [(1, 2), (1, 3), (2, 3)], 2,
                          variant=CONNECTED)
-    sol = solve_dcpggd_tw(inst)
+    sol = solve_auto(inst)
     assert sol is not None and sol.canonical() == ((), ())
 
 
@@ -52,7 +52,7 @@ def test_p3_connected_delete_everything():
     inst = path_instance(3, 0, k_v=3, cost_budget=0, variant=CONNECTED,
                          cost_v={1: 0, 2: 0, 3: 0},
                          cost_e={(1, 2): 0, (2, 3): 0})
-    sol = solve_dcpggd_tw(inst)
+    sol = solve_auto(inst)
     assert sol is not None
     assert check_solution(inst, sol).ok
     # deleting the whole path (empty graph counts as connected) is among
@@ -61,15 +61,12 @@ def test_p3_connected_delete_everything():
     assert ((1, 2, 3), ()) in {s.canonical() for s in rep.optima}
 
 
-def test_variant_guard_and_out_of_window_input():
-    inst = cycle_instance(4, 1, k_e=2, cost_budget=2)
-    with pytest.raises(ValueError, match="variant"):
-        solve_dcpggd_tw(inst)
+def test_out_of_window_input():
     # endpoints cannot reach target 2: outside the degree window the DP
     # still answers, here with no solution
     bad = path_instance(3, 2)
     assert not bad.in_degree_window()
-    assert solve_dpggd_tw(bad) is None
+    assert solve_auto(bad) is None
 
 
 def test_solve_auto_rejects_decomposition_missing_an_edge():
@@ -86,7 +83,7 @@ def _ntd(inst):
     return to_nice(decompose(inst.graph))
 
 
-def test_prepared_solve_validates_its_own_decomposition_once(monkeypatch):
+def test_solve_auto_validates_the_decomposition_it_builds_once(monkeypatch):
     # with no decomposition given, the one it builds is checked once, in
     # the nice form the DP reads
     import degedit.dpsolve
@@ -101,13 +98,13 @@ def test_prepared_solve_validates_its_own_decomposition_once(monkeypatch):
     monkeypatch.setattr(degedit.treewidth, "validate", counting)
     monkeypatch.setattr(degedit.dpsolve, "validate", counting)
     inst = cycle_instance(5, 1, k_e=2, cost_budget=3)
-    PreparedSolve(inst)
+    solve_auto(inst)
     assert [type(td) for td in calls] == [NiceTreeDecomposition]
 
 
 def test_process_node_leaf_shape():
     inst = make_instance([1, 2], [(1, 2)], 1, k_v=1, k_e=1, cost_budget=2)
-    ps = PreparedSolve(inst)
+    ps = PreparedSolve(inst, _ntd(inst))
     leaf_table = process_node(ps.ctx, 0, [])
     # nothing but the empty, unspent key is representable at a leaf
     assert leaf_table == {(0, 0, (), 0, 0): (0, 0, 0)}
@@ -117,7 +114,7 @@ def test_process_node_introduce_charges_edge_budget():
     # introduce v=2 into bag {1} with edge (1,2) present and 1 kept:
     # the branch deleting the edge must book its weight
     inst = make_instance([1, 2], [(1, 2)], 0, k_v=0, k_e=1, cost_budget=5)
-    ps = PreparedSolve(inst)
+    ps = PreparedSolve(inst, _ntd(inst))
     ntd = ps.ctx.ntd
     intro_nodes = [i for i, k in enumerate(ntd.kinds) if k == "introduce"]
     second = intro_nodes[1]
@@ -176,7 +173,7 @@ def test_key_loss_matches_recount_within_cap():
               + random_corpus(60, 80_000, n_hi=12))
     lossy = 0
     for inst in corpus:
-        ctx = PreparedSolve(inst).ctx
+        ctx = PreparedSolve(inst, _ntd(inst)).ctx
         ends = [(ctx.idx[a], ctx.idx[b]) for a, b in ctx.edges]
         cap = [min(inst.k_v + inst.k_e, inst.graph.degree(v) - inst.delta[v])
                for v in ctx.ids]
@@ -230,7 +227,7 @@ def test_dp_handles_joins():
                          k_v=0, k_e=0, cost_budget=0)
     ntd = _ntd(inst)
     assert JOIN in ntd.kinds
-    sol = solve_dpggd_tw(inst, ntd)
+    sol = solve_auto(inst, ntd)
     assert sol is not None and sol.canonical() == ((), ())
 
 
@@ -254,7 +251,7 @@ def test_budget_slices_match_direct_solves():
     for inst in corpus:
         if not inst.in_degree_window():
             continue
-        ps = PreparedSolve(inst)
+        ps = PreparedSolve(inst, _ntd(inst))
         for h_v in range(inst.k_v + 1):
             for h_e in range(inst.k_e + 1):
                 smaller = make_instance(
@@ -263,7 +260,7 @@ def test_budget_slices_match_direct_solves():
                     weight_v=dict(inst.weight_v), weight_e=dict(inst.weight_e),
                     cost_v=dict(inst.cost_v), cost_e=dict(inst.cost_e))
                 direct = solve_auto(smaller)
-                sliced = ps.solve(h_v, h_e)
+                sliced = best_within(ps.ctx, ps.answers.get((), ()), h_v, h_e)
                 assert (direct is None) == (sliced is None)
                 if direct is not None:
                     assert direct.canonical() == sliced.canonical()
@@ -346,7 +343,7 @@ def _region_kind(inst):
     """How the region path answers inst, after checking it prints exactly
     what the full-graph DP prints."""
     region = active_region(inst)
-    full = format_solution(PreparedSolve(inst).solve())
+    full = format_solution(PreparedSolve(inst, _ntd(inst)).solve())
     assert format_solution(solve_auto(inst)) == full, inst
     if region is None:
         return "no"
@@ -389,7 +386,7 @@ def test_region_proves_no_below_target_outside_x():
                          {1: 3, 2: 2, 3: 2, 4: 2, 5: 2}, k_v=1, k_e=1,
                          cost_budget=9)
     assert active_region(inst) is None
-    assert PreparedSolve(inst).solve() is None
+    assert PreparedSolve(inst, _ntd(inst)).solve() is None
     assert solve_auto(inst) is None
 
 

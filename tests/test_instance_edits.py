@@ -206,19 +206,27 @@ def ref_delete_edges(inst, es, delta_updates):
     return inst
 
 
-def ref_contract_slack(inst, a, b, z, *, slack, inherit, **kw):
+def ref_contract_slack(inst, a, b, z, *, slack, rigid, inherit):
     """A contraction with the arithmetic the rules wrote out before
-    ``contract`` took it over, and the edge policy every rule passed for
-    ``inherit``: "inherit", or ("fixed", k_e + 1, 0)."""
+    ``contract`` took it over, the z terms every rule passed for ``rigid``:
+    (k_v + 1, 0), or a's and b's weights and costs summed, and the edge
+    policy every rule passed for ``inherit``: "inherit", or
+    ("fixed", k_e + 1, 0)."""
     g = inst.graph
     delta_z = len((g.neighbors(a) | g.neighbors(b)) - {a, b}) - slack
     if delta_z < 0:
         return None
     common = (g.neighbors(a) & g.neighbors(b)) - {a, b}
-    return ref_contract(inst, a, b, z, delta_z=delta_z,
+    if rigid:
+        weight_z, cost_z = inst.k_v + 1, 0
+    else:
+        weight_z = inst.weight_v[a] + inst.weight_v[b]
+        cost_z = inst.cost_v[a] + inst.cost_v[b]
+    return ref_contract(inst, a, b, z, delta_z=delta_z, weight_z=weight_z,
+                        cost_z=cost_z,
                         delta_updates={x: max(0, inst.delta[x] - 1) for x in common},
-                        edge_policy="inherit" if inherit else ("fixed", inst.k_e + 1, 0),
-                        **kw)
+                        edge_policy="inherit" if inherit
+                        else ("fixed", inst.k_e + 1, 0))
 
 
 def ref_add_undeletable_pendant(inst, z, nbrs):
@@ -268,16 +276,17 @@ def test_edits_match_reference_on_random_corpus():
                 inherits.append(True)
             else:
                 with pytest.raises(RuntimeError, match="inherit policy"):
-                    contract(inst, a, b, fresh, slack=0, weight_z=1,
-                             cost_z=0, inherit=True)
+                    contract(inst, a, b, fresh, slack=0, rigid=True,
+                             inherit=True)
             union = len((g.neighbors(a) | g.neighbors(b)) - {a, b})
             for inherit in inherits:
-                # slack up to one past the union size reaches a negative target
-                kw = dict(slack=rng.randint(0, union + 1),
-                          weight_z=rng.randint(1, 3), cost_z=rng.randint(0, 2),
-                          inherit=inherit)
-                same(contract(inst, a, b, fresh, **kw),
-                     ref_contract_slack(inst, a, b, fresh, **kw))
+                for rigid in (False, True):
+                    # slack up to one past the union size reaches a
+                    # negative target
+                    kw = dict(slack=rng.randint(0, union + 1), rigid=rigid,
+                              inherit=inherit)
+                    same(contract(inst, a, b, fresh, **kw),
+                         ref_contract_slack(inst, a, b, fresh, **kw))
 
 
 def test_normalize_contraction_matches_reference_at_every_site():

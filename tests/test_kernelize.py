@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from degedit.dpsolve import PreparedSolve
+from degedit.dpsolve import PreparedSolve, best_within
 from degedit.errors import CapacityError
 import degedit.kernelize
 from degedit.graph import Graph, edge_key, is_planar
@@ -202,7 +202,7 @@ def ref_candidate_sets(inst, pd):
                 part.cert, cfg.removed_vertices, gadget), check=False)
             for hv in range(inst.k_v + 1):
                 for he in range(inst.k_e + 1):
-                    sol = ps.solve(hv, he)
+                    sol = best_within(ps.ctx, ps.answers.get((), ()), hv, he)
                     if sol is not None:
                         w_i |= sol.deleted_vertices
                         l_i |= sol.deleted_edges
