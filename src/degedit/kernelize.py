@@ -2,13 +2,18 @@
 
 Pipeline: normalize, find a distance-2 dominating set, build a protrusion
 decomposition, then compute candidate sets (W, L) from one treewidth-solver
-table per boundary shape of every part, rooted at the kept boundary so that
-its root answers every vector of boundary targets; some minimum-cost
-solution of a yes-instance deletes only candidate vertices and edges, which
-licenses the reduction rules that shrink everything outside them.  In the
-connected variant a shape also attaches cover gadget vertices, and shapes
-whose gadget graph is not planar are never enumerated: one planarity test
-per part decides them all.
+table per boundary configuration of every part, rooted at the kept boundary
+so that its root answers every vector of boundary targets; some
+minimum-cost solution of a yes-instance deletes only candidate vertices and
+edges, which licenses the reduction rules that shrink everything outside
+them.  A configuration is a set of removed boundary vertices and, in the
+connected variant, a partition of the kept boundary into blocks joined
+outside the part.  Edges among kept boundary vertices are always left out
+of the table: no part vertex is an end of one, and a kept edge ab joins a
+and b just as a block {a, b} does.  Each block of two or more vertices
+attaches one gadget vertex (a one-vertex block joins nothing), and
+partitions whose gadget graph is not planar are never enumerated: one
+planarity test per part decides them all.
 
 The fifteen reduction rules are handlers on the rewrite state that
 normalization also runs on (``normalize.KernelState``): each changes the
@@ -25,12 +30,11 @@ only the size guarantee (the ``certified`` flag), never equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 from .dpsolve import PreparedSolve, best_within
 from .errors import CapacityError
 from .graph import Graph, edge_key, is_planar, verify_bipartite_planar_bound
-from .instance import (CONNECTED, PLAIN, Instance, add_pendant, contract,
+from .instance import (CONNECTED, Instance, add_pendant, contract,
                        delete_edges, delete_vertices)
 from .normalize import (DECIDED_NO, DECIDED_YES, NORMALIZED, NOT_APPLICABLE,
                         KernelState, RuleEvent, normalize)
@@ -42,11 +46,11 @@ from .treewidth import NiceTreeDecomposition, TreeDecomposition, to_nice
 KERNEL = "kernel"
 
 DEFAULT_ALPHA_CAP_PLAIN = 3
-# At most two boundary vertices, so a cover block is a pendant or a pair
-# {a, b} kept whole, and a pair can only ever sit beside G[closed] as the
-# same path a–z–b: ``enumerate_configs`` tests gadget planarity once per
-# part.  A higher cap allows wider blocks and removal sets that change the
-# gadget graph, and then needs a planarity test per configuration again.
+# At most two boundary vertices, so a partition has at most one block with
+# a gadget, a pair {a, b}, and that block can only ever sit beside G[closed]
+# as the same path a–z–b: ``enumerate_configs`` tests gadget planarity once
+# per part.  A higher cap allows wider blocks and removal sets that change
+# the gadget graph, and then needs a planarity test per configuration again.
 DEFAULT_ALPHA_CAP_CONNECTED = 2
 
 # The reduction phases in order; each phase is one ``KernelState.run`` over
@@ -72,42 +76,37 @@ def alpha_cap_for(variant: str) -> int:
 
 @dataclass(frozen=True)
 class BoundaryConfig:
-    """One subproblem shape on a part's closed neighbourhood."""
+    """One subproblem on a part's closed neighbourhood."""
     removed_vertices: frozenset[int]                  # deleted boundary vertices
-    removed_edges: frozenset[tuple[int, int]]         # deleted boundary edges
-    cover: tuple[tuple[int, ...], ...] | None = None  # connected variant blocks
+    removed_edges: frozenset[tuple[int, int]]         # all among kept boundary
+    cover: tuple[tuple[int, ...], ...] | None = None  # connected: a partition
 
 
-def _boundary_edge_pool(g: Graph, kept_boundary) -> list[tuple[int, int]]:
+def _edges_among(g: Graph, kept_boundary) -> frozenset[tuple[int, int]]:
     kept = sorted(kept_boundary)
-    return [(a, b) for i, a in enumerate(kept) for b in kept[i + 1:]
-            if g.has_edge(a, b)]
+    return frozenset((a, b) for i, a in enumerate(kept) for b in kept[i + 1:]
+                     if g.has_edge(a, b))
 
 
-def _covers(remnant: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """Set coverings by distinct non-empty subsets, family size at most
-    the remnant size, in canonical family order."""
-    if not remnant:
+def _partitions(kept: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """Set partitions of a sorted tuple, each a sorted tuple of sorted
+    blocks, in canonical order."""
+    if not kept:
         return [()]
-    blocks = []
-    for r in range(1, len(remnant) + 1):
-        blocks.extend(tuple(c) for c in combinations(remnant, r))
-    blocks.sort(key=lambda b: (len(b), b))
+    first = kept[0]
     out = []
-    for s in range(1, len(remnant) + 1):
-        for family in combinations(blocks, s):
-            union = set()
-            for b in family:
-                union.update(b)
-            if len(union) == len(remnant):
-                out.append(tuple(sorted(family)))
-    return sorted(set(out))
+    for rest in _partitions(kept[1:]):
+        out.append(((first,),) + rest)
+        out.extend(((first,) + block,) + rest[:i] + rest[i + 1:]
+                   for i, block in enumerate(rest))
+    return sorted(out)
 
 
 def enumerate_configs(part: Part, inst: Instance) -> list[BoundaryConfig]:
     """The boundary configurations of one part that get solved, canonically
-    ordered: every valid one, less the connected covers whose gadget graph
-    is not planar."""
+    ordered: one per set of removed boundary vertices and, in the connected
+    variant, per partition of the kept boundary into blocks joined outside
+    the part, less the partitions whose gadget graph is not planar."""
     cap = alpha_cap_for(inst.variant)
     boundary = sorted(part.boundary)
     if len(boundary) > cap:
@@ -117,7 +116,7 @@ def enumerate_configs(part: Part, inst: Instance) -> list[BoundaryConfig]:
     connected = inst.variant == CONNECTED
     # One test decides the whole part (see DEFAULT_ALPHA_CAP_CONNECTED): a
     # pair block {a, b} adds the same path a–z–b to G[closed] in every
-    # configuration that holds it, and beside an edge ab it stays planar.
+    # configuration that holds it, and in place of an edge ab it stays planar.
     nonplanar_block = None
     if connected and len(boundary) == 2 and not g.has_edge(*boundary):
         z = max(g.vertices) + 1
@@ -128,32 +127,28 @@ def enumerate_configs(part: Part, inst: Instance) -> list[BoundaryConfig]:
         removed = frozenset(boundary[i] for i in range(len(boundary))
                             if (x_bits >> i) & 1)
         kept = tuple(v for v in boundary if v not in removed)
-        pool = _boundary_edge_pool(g, kept)
-        covers = [c for c in _covers(kept) if nonplanar_block not in c] \
-            if connected else [None]
-        for y_bits in range(1 << len(pool)):
-            removed_edges = frozenset(pool[i] for i in range(len(pool))
-                                      if (y_bits >> i) & 1)
-            out.extend(BoundaryConfig(removed, removed_edges, cover)
-                       for cover in covers)
+        inner = _edges_among(g, kept)
+        partitions = [p for p in _partitions(kept)
+                      if nonplanar_block not in p] if connected else [None]
+        out.extend(BoundaryConfig(removed, inner, p) for p in partitions)
     return out
 
 
 def build_boundary_instance(config: BoundaryConfig, part: Part, inst: Instance
                             ) -> tuple[Instance, frozenset[int]]:
     """The subinstance a configuration induces on a part, at the full budgets,
-    with the ids of its cover gadget vertices.
+    with the ids of its block gadget vertices.
 
-    Boundary survivors and (for the connected variant) cover gadget
-    vertices are priced out of deletion.  Survivors get target 0: the DP
-    reads their targets off its root (see ``dpsolve``).
+    Boundary survivors are priced out of deletion and get target 0: the DP
+    reads their targets off its root (see ``dpsolve``).  In the connected
+    variant each block of two or more vertices gets one gadget vertex
+    (``add_pendant``), with an id above every vertex of the graph.
     """
     g = inst.graph
-    closed = part.closed
-    sub = g.subgraph(closed).delete_vertices(config.removed_vertices)
+    sub = g.subgraph(part.closed).delete_vertices(config.removed_vertices)
     sub = sub.delete_edges(config.removed_edges)
     kept_boundary = part.boundary - config.removed_vertices
-    delta, weight_v, cost_v = {}, {}, {}
+    delta, weight_v = {}, {}
     for v in sub.vertices:
         if v in kept_boundary:
             delta[v] = 0
@@ -161,35 +156,16 @@ def build_boundary_instance(config: BoundaryConfig, part: Part, inst: Instance
         else:
             delta[v] = inst.delta[v]
             weight_v[v] = inst.weight_v[v]
-        cost_v[v] = inst.cost_v[v]
-    weight_e, cost_e = {}, {}
-    for e in sub.edge_set():
-        if e[0] in kept_boundary and e[1] in kept_boundary:
-            weight_e[e] = inst.k_e + 1
-        else:
-            weight_e[e] = inst.weight_e[e]
-        cost_e[e] = inst.cost_e[e]
-
-    if config.cover is None:
-        return Instance(sub, delta, weight_v, weight_e, cost_v, cost_e,
-                        inst.k_v, inst.k_e, inst.cost_budget,
-                        PLAIN), frozenset()
-
+    edges = sub.edge_set()
+    out = Instance(sub, delta, weight_v, {e: inst.weight_e[e] for e in edges},
+                   {v: inst.cost_v[v] for v in sub.vertices},
+                   {e: inst.cost_e[e] for e in edges},
+                   inst.k_v, inst.k_e, inst.cost_budget, inst.variant)
+    blocks = [block for block in config.cover or () if len(block) > 1]
     base = max(g.vertices, default=0) + 1
-    gadget = frozenset(range(base, base + len(config.cover)))
-    for i, block in enumerate(config.cover):
-        z = base + i
-        sub = sub.add_vertex(z, block)
-        delta[z] = len(block)
-        weight_v[z] = inst.k_v + 1
-        cost_v[z] = 0
-        for u in block:
-            e = edge_key(z, u)
-            weight_e[e] = inst.k_e + 1
-            cost_e[e] = 0
-    return Instance(sub, delta, weight_v, weight_e, cost_v, cost_e,
-                    inst.k_v, inst.k_e, inst.cost_budget,
-                    CONNECTED), gadget
+    for z, block in enumerate(blocks, base):
+        out = add_pendant(out, z, block)
+    return out, frozenset(range(base, base + len(blocks)))
 
 
 @dataclass(frozen=True)
@@ -234,18 +210,14 @@ def compute_candidate_sets(inst: Instance, pd: ProtrusionDecomposition
             continue
         w_i: set[int] = set()
         l_i: set[tuple[int, int]] = set()
-        ntd_cache: dict = {}
         budget_pairs = [(hv, he) for hv in range(inst.k_v + 1)
                         for he in range(inst.k_e + 1)]
         for cfg in configs:
             sub_inst, gadget = build_boundary_instance(cfg, part, inst)
-            cache_key = (cfg.removed_vertices, len(gadget))
-            if cache_key not in ntd_cache:
-                ntd_cache[cache_key] = _patched_ntd(
-                    part.cert, cfg.removed_vertices,
-                    (part.boundary - cfg.removed_vertices) | gadget)
+            top = (part.boundary - cfg.removed_vertices) | gadget
             # one run answers every budget pair of every target vector
-            ps = PreparedSolve(sub_inst, ntd_cache[cache_key], check=False)
+            ps = PreparedSolve(sub_inst, _patched_ntd(
+                part.cert, cfg.removed_vertices, top), check=False)
             for rows in ps.answers.values():
                 for hv, he in budget_pairs:
                     sol = best_within(ps.ctx, rows, hv, he)

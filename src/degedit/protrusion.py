@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Graph
-from .treewidth import TreeDecomposition, decompose, validate as validate_td
+from .treewidth import (DecompositionVerdict, TreeDecomposition, decompose,
+                        validate as validate_td)
 
 
 def greedy_2_dominating_set(g: Graph) -> frozenset[int]:
@@ -65,15 +66,6 @@ class ProtrusionDecomposition:
     @property
     def p(self) -> int:
         return len(self.parts)
-
-
-@dataclass(frozen=True)
-class ProtrusionVerdict:
-    ok: bool
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def build_protrusion_decomposition(g: Graph, domset: Iterable[int], r: int = 2, *,
@@ -124,7 +116,7 @@ def build_protrusion_decomposition(g: Graph, domset: Iterable[int], r: int = 2, 
 
 
 def validate_protrusion_decomposition(g: Graph, pd: ProtrusionDecomposition
-                                      ) -> ProtrusionVerdict:
+                                      ) -> DecompositionVerdict:
     """Check partition, boundary containment, and width certificates."""
     pieces = [pd.r0] + [p.vertices for p in pd.parts]
     total = 0
@@ -132,29 +124,29 @@ def validate_protrusion_decomposition(g: Graph, pd: ProtrusionDecomposition
         total += len(piece)
     union = frozenset().union(*pieces) if pieces else frozenset()
     if union != g.vertices or total != g.n:
-        return ProtrusionVerdict(False, "parts and core do not partition the vertices")
+        return DecompositionVerdict(False, "parts and core do not partition the vertices")
     for i, part in enumerate(pd.parts, 1):
         true_nbhd = frozenset(x for v in part.vertices
                               for x in g.neighbors(v)) - part.vertices
         if true_nbhd != part.boundary:
-            return ProtrusionVerdict(
+            return DecompositionVerdict(
                 False, f"part {i}: recorded boundary differs from true neighbourhood")
         if not part.boundary <= pd.r0:
-            return ProtrusionVerdict(
+            return DecompositionVerdict(
                 False, f"part {i}: condition (iii) failed, neighbour outside core")
         closed = part.closed
         shell = frozenset(v for v in closed
                           if any(u not in closed for u in g.neighbors(v)))
         if not part.boundary <= shell:
-            return ProtrusionVerdict(
+            return DecompositionVerdict(
                 False, f"part {i}: condition (iii) failed, boundary vertex "
                        "has no outside neighbour")
         sub = g.subgraph(closed)
         td_verdict = validate_td(sub, part.cert)
         if not td_verdict:
-            return ProtrusionVerdict(
+            return DecompositionVerdict(
                 False, f"part {i}: width certificate invalid ({td_verdict.reason})")
         if part.width > pd.alpha or len(part.boundary) > pd.alpha:
-            return ProtrusionVerdict(
+            return DecompositionVerdict(
                 False, f"part {i}: condition (ii) failed, exceeds alpha={pd.alpha}")
-    return ProtrusionVerdict(True)
+    return DecompositionVerdict(True)

@@ -1,5 +1,7 @@
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations, islice
 
 import pytest
 
@@ -9,8 +11,8 @@ import degedit.kernelize
 from degedit.graph import Graph, edge_key, is_planar
 from degedit.instance import CONNECTED, PLAIN, Instance
 from degedit.kernelize import (KERNEL, BoundaryConfig, CandidateSets,
-                               _boundary_edge_pool, _check_t2_components,
-                               _covers, _patched_ntd, alpha_cap_for,
+                               _check_t2_components, _edges_among,
+                               _partitions, _patched_ntd, alpha_cap_for,
                                build_boundary_instance,
                                compute_candidate_sets, enumerate_configs,
                                format_trace, kernelize, reduce_dpggd,
@@ -37,10 +39,32 @@ def _part_for(inst, vertices):
 # -- per-target configurations and candidate sets, kept as the reference -----
 
 
+def ref_covers(remnant):
+    """Set coverings by distinct non-empty subsets, family size at most
+    the remnant size, in canonical family order."""
+    if not remnant:
+        return [()]
+    blocks = []
+    for r in range(1, len(remnant) + 1):
+        blocks.extend(tuple(c) for c in combinations(remnant, r))
+    blocks.sort(key=lambda b: (len(b), b))
+    out = []
+    for s in range(1, len(remnant) + 1):
+        for family in combinations(blocks, s):
+            union = set()
+            for b in family:
+                union.update(b)
+            if len(union) == len(remnant):
+                out.append(tuple(sorted(family)))
+    return sorted(set(out))
+
+
 @dataclass(frozen=True)
 class RefConfig:
     """A boundary configuration as it was before the part table answered
-    every target: a shape plus one target per kept boundary vertex."""
+    every target: a shape (removed boundary vertices, a subset of the edges
+    among the kept ones, a cover of the kept ones) plus one target per kept
+    boundary vertex."""
     removed_vertices: frozenset[int]
     removed_edges: frozenset[tuple[int, int]]
     targets: tuple[tuple[int, int], ...]
@@ -54,8 +78,9 @@ class RefConfig:
 
 def ref_all_configs(part, inst):
     """Every valid boundary configuration with its target windows, as
-    ``enumerate_configs`` listed them before it left out non-planar gadgets
-    and before targets were read off the part table."""
+    ``enumerate_configs`` listed them before it left out non-planar gadgets,
+    before targets were read off the part table and before configurations
+    were partitions."""
     cap = alpha_cap_for(inst.variant)
     boundary = sorted(part.boundary)
     if len(boundary) > cap:
@@ -68,7 +93,7 @@ def ref_all_configs(part, inst):
         removed = frozenset(boundary[i] for i in range(len(boundary))
                             if (x_bits >> i) & 1)
         kept = tuple(v for v in boundary if v not in removed)
-        pool = _boundary_edge_pool(g, kept)
+        pool = sorted(_edges_among(g, kept))
         for y_bits in range(1 << len(pool)):
             removed_edges = frozenset(pool[i] for i in range(len(pool))
                                       if (y_bits >> i) & 1)
@@ -79,7 +104,7 @@ def ref_all_configs(part, inst):
                         if u in closed and u not in removed)
                 d -= sum(1 for e in removed_edges if v in e)
                 deg_f[v] = d
-            covers = _covers(kept) if inst.variant == CONNECTED else [None]
+            covers = ref_covers(kept) if inst.variant == CONNECTED else [None]
             for cover in covers:
                 if cover:
                     deg = {v: deg_f[v] + sum(1 for block in cover if v in block)
@@ -176,6 +201,30 @@ def ref_shapes(part, inst):
     return list(dict.fromkeys(cfg.shape for cfg in ref_configs(part, inst)))
 
 
+def ref_class(shape, part, inst):
+    """The configuration a reference shape (R, F, C) falls in: the same R,
+    and the partition that joins C's blocks with the kept edges outside F."""
+    kept = part.boundary - shape.removed_vertices
+    inner = _edges_among(inst.graph, kept)
+    if shape.cover is None:
+        return BoundaryConfig(shape.removed_vertices, inner)
+    block_of = {v: {v} for v in kept}
+    for link in list(shape.cover) + sorted(inner - shape.removed_edges):
+        joined = set().union(*(block_of[v] for v in link))
+        for v in joined:
+            block_of[v] = joined
+    partition = tuple(sorted({tuple(sorted(b)) for b in block_of.values()}))
+    return BoundaryConfig(shape.removed_vertices, inner, partition)
+
+
+def assert_classes_onto(configs, part, inst):
+    """The class map takes the reference shapes onto ``configs``, which
+    lists each class once."""
+    assert len(set(configs)) == len(configs)
+    assert {ref_class(shape, part, inst)
+            for shape in ref_shapes(part, inst)} == set(configs)
+
+
 def ref_candidate_sets(inst, pd):
     """``compute_candidate_sets`` as it was: one DP per configuration and
     target vector, each read at every budget pair."""
@@ -240,14 +289,14 @@ def test_configs_single_boundary_count_bound():
     assert ps.answers and set(ps.answers) <= {(0,), (1,)}
 
 
-def test_cover_families_for_two_remnants():
-    fams = _covers((1, 2))
-    assert fams == sorted([
-        ((1, 2),),
-        ((1,), (1, 2)),
-        ((1,), (2,)),
-        ((1, 2), (2,)),
-    ])
+def test_partitions_of_up_to_three_vertices():
+    # 1, 1, 2 and 5 set partitions, each a sorted tuple of sorted blocks
+    assert _partitions(()) == [()]
+    assert _partitions((4,)) == [((4,),)]
+    assert _partitions((1, 4)) == [((1,), (4,)), ((1, 4),)]
+    assert _partitions((1, 2, 3)) == [((1,), (2,), (3,)), ((1,), (2, 3)),
+                                      ((1, 2), (3,)), ((1, 2, 3),),
+                                      ((1, 3), (2,))]
 
 
 def test_configs_respect_alpha_cap():
@@ -264,9 +313,10 @@ def test_boundary_instance_prices_out_survivors():
     inst = cycle_instance(4, 1, k_v=1, k_e=2, cost_budget=2)
     part = _part_for(inst, [2, 3])
     assert part.boundary == {1, 4}
-    cfg = BoundaryConfig(frozenset(), frozenset(), None)
+    cfg = BoundaryConfig(frozenset(), frozenset({(1, 4)}), None)
     sub, gadget = build_boundary_instance(cfg, part, inst)
     assert gadget == frozenset()
+    assert not sub.graph.has_edge(1, 4)
     assert sub.weight_v[1] == inst.k_v + 1
     assert sub.weight_v[4] == inst.k_v + 1
     assert sub.weight_v[2] == inst.weight_v[2]
@@ -279,7 +329,7 @@ def test_boundary_instance_gadget_structure():
     inst = cycle_instance(4, 1, k_v=1, k_e=2, cost_budget=2,
                           variant=CONNECTED)
     part = _part_for(inst, [2, 3])
-    cfg = BoundaryConfig(frozenset(), frozenset(), ((1, 4),))
+    cfg = BoundaryConfig(frozenset(), frozenset({(1, 4)}), ((1, 4),))
     sub, gadget = build_boundary_instance(cfg, part, inst)
     assert len(gadget) == 1
     z = next(iter(gadget))
@@ -292,6 +342,10 @@ def test_boundary_instance_gadget_structure():
         e = tuple(sorted((z, u)))
         assert sub.weight_e[e] == inst.k_e + 1
         assert sub.cost_e[e] == 0
+    # one-vertex blocks get no gadget
+    cfg = BoundaryConfig(frozenset(), frozenset({(1, 4)}), ((1,), (4,)))
+    sub, gadget = build_boundary_instance(cfg, part, inst)
+    assert gadget == frozenset() and sub.graph.vertices == {1, 2, 3, 4}
 
 
 def test_boundary_instance_full_removal_drops_gadget():
@@ -306,7 +360,7 @@ def test_boundary_instance_full_removal_drops_gadget():
 
 def test_configs_pair_gadget_off_an_edge_is_tested():
     # K3,3 less the edge 1-4 is planar, and the path 1-z-4 of the pair
-    # block makes it a subdivided K3,3 again; pendant blocks keep it planar
+    # block makes it a subdivided K3,3 again; one-vertex blocks keep it planar
     edges = [(a, b) for a in (1, 2, 3) for b in (4, 5, 6) if (a, b) != (1, 4)]
     inst = make_instance(range(1, 7), edges,
                          {1: 2, 2: 3, 3: 3, 4: 2, 5: 3, 6: 3},
@@ -314,7 +368,7 @@ def test_configs_pair_gadget_off_an_edge_is_tested():
     part = _part_for(inst, [2, 3, 5, 6])
     assert part.boundary == {1, 4}
     configs = enumerate_configs(part, inst)
-    assert configs == ref_shapes(part, inst)
+    assert_classes_onto(configs, part, inst)
     covers = {cfg.cover for cfg in configs if not cfg.removed_vertices}
     assert covers == {((1,), (4,))}
     cfg = BoundaryConfig(frozenset(), frozenset(), ((1,), (4,)))
@@ -336,9 +390,11 @@ def test_configs_leave_out_a_nonplanar_pair_gadget():
     configs = enumerate_configs(part, inst)
     every = ref_all_configs(part, inst)
     assert len(every) == 43 and len(ref_configs(part, inst)) == 16
-    # 7 shapes, of which the 3 with a cover holding (1, 2) are left out
+    # 7 shapes, of which the 3 with a cover holding (1, 2) are left out;
+    # the 4 others are 4 partitions
     assert len({cfg.shape for cfg in every}) == 7
-    assert len(configs) == 4 and configs == ref_shapes(part, inst)
+    assert len(configs) == 4
+    assert_classes_onto(configs, part, inst)
     assert not any((1, 2) in cfg.cover for cfg in configs)
     assert compute_candidate_sets(inst, pd) == ref_candidate_sets(inst, pd)
 
@@ -374,8 +430,9 @@ GADGET_CORPUS_CANDIDATES = (
 
 def test_configs_match_the_per_configuration_filter(monkeypatch):
     # one planarity test per connected part whose boundary is a non-adjacent
-    # pair leaves out exactly the configurations whose gadget graph fails
-    # the test, and the candidate sets are those of testing every gadget
+    # pair leaves out exactly the classes of the shapes whose gadget graph
+    # fails the test, and the candidate sets are those of testing every
+    # gadget
     enumerated, tests = [], []
     enumerate_all = degedit.kernelize.enumerate_configs
 
@@ -397,36 +454,60 @@ def test_configs_match_the_per_configuration_filter(monkeypatch):
                      and not inst.graph.has_edge(*sorted(part.boundary)))
     assert pair_parts > 100 and len(tests) == pair_parts
     for part, inst, configs in enumerated:
-        assert configs == ref_shapes(part, inst)
+        assert_classes_onto(configs, part, inst)
+
+
+def _solutions_by_group(ps, width, inst):
+    """``best_within`` of each root loss group of a table, keyed by the
+    losses of its first ``width`` root vertices (the gadget positions
+    dropped), at every budget pair."""
+    return {(loss[:width], hv, he): best_within(ps.ctx, rows, hv, he)
+            for loss, rows in ps.answers.items()
+            for hv in range(inst.k_v + 1) for he in range(inst.k_e + 1)}
 
 
 def test_root_groups_match_per_target_runs():
-    # a connected part whose boundary pair shares an edge: the table of each
-    # shape, rooted at the kept boundary and the gadget, holds under each
-    # loss tuple exactly the root rows of the run at targets deg - loss
+    # a connected part whose boundary pair shares an edge: per loss group
+    # and budget pair, the table of each class gives the solution of every
+    # reference shape in it, and of each per-target run at targets
+    # deg - loss
     inst = cycle_instance(4, 1, k_v=1, k_e=2, cost_budget=2, variant=CONNECTED)
     part = _part_for(inst, [2, 3])
     assert part.boundary == {1, 4}
-    groups = []
-    for shape in enumerate_configs(part, inst):
-        sub, gadget = build_boundary_instance(shape, part, inst)
-        top = (part.boundary - shape.removed_vertices) | gadget
+    configs = enumerate_configs(part, inst)
+    assert_classes_onto(configs, part, inst)
+    by_class = {}
+    for cfg in configs:
+        sub, gadget = build_boundary_instance(cfg, part, inst)
+        top = (part.boundary - cfg.removed_vertices) | gadget
         table = PreparedSolve(
-            sub, _patched_ntd(part.cert, shape.removed_vertices, top), check=False)
-        expected = {}
-        for cfg in ref_configs(part, inst):
-            if cfg.shape != shape:
-                continue
-            ref_sub, ref_gadget = ref_boundary_instance(cfg, part, inst)
-            assert ref_gadget == gadget and ref_sub.graph == sub.graph
-            rows = PreparedSolve(ref_sub, ref_patched_ntd(
-                part.cert, cfg.removed_vertices, gadget)).answers.get((), [])
-            if rows:
-                loss = tuple(sub.graph.degree(v) - t for v, t in cfg.targets)
-                expected[loss + (0,) * len(gadget)] = rows
-        assert table.answers == expected, shape
-        groups.append(len(expected))
-    assert sum(groups) >= 10 and max(groups) >= 3, groups
+            sub, _patched_ntd(part.cert, cfg.removed_vertices, top), check=False)
+        width = len(part.boundary - cfg.removed_vertices)
+        by_class[cfg] = _solutions_by_group(table, width, inst)
+    for shape in ref_shapes(part, inst):
+        kept = sorted(part.boundary - shape.removed_vertices)
+        sub, gadget = ref_boundary_instance(
+            RefConfig(shape.removed_vertices, shape.removed_edges,
+                      tuple((v, 0) for v in kept), shape.cover), part, inst)
+        table = PreparedSolve(sub, _patched_ntd(
+            part.cert, shape.removed_vertices, frozenset(kept) | gadget),
+            check=False)
+        assert _solutions_by_group(table, len(kept), inst) == \
+            by_class[ref_class(shape, part, inst)], shape
+    found = 0
+    for cfg in ref_configs(part, inst):
+        ref_sub, ref_gadget = ref_boundary_instance(cfg, part, inst)
+        run = PreparedSolve(ref_sub, ref_patched_ntd(
+            part.cert, cfg.removed_vertices, ref_gadget))
+        loss = tuple(ref_sub.graph.degree(v) - t for v, t in cfg.targets)
+        solutions = by_class[ref_class(cfg.shape, part, inst)]
+        for hv in range(inst.k_v + 1):
+            for he in range(inst.k_e + 1):
+                sol = best_within(run.ctx, run.answers.get((), ()), hv, he)
+                assert solutions.get((loss, hv, he)) == sol, (cfg, hv, he)
+                found += sol is not None
+    groups = [len({key[0] for key in sols}) for sols in by_class.values()]
+    assert found >= 10 and max(groups) >= 3, (found, groups)
 
 
 def test_candidate_sets_match_the_per_target_reference(monkeypatch):
@@ -462,6 +543,37 @@ def test_candidate_sets_match_the_per_target_reference(monkeypatch):
             assert compute(inst, pd) == ref_candidate_sets(inst, pd)
             wide += 1
     assert wide >= 20
+
+
+def _adjacent_boundary_parts(inst, size, edges):
+    """Single-part decompositions of inst: the part is a component of G - B
+    whose neighbourhood is B, for each set B of ``size`` vertices with at
+    least ``edges`` edges among them; yields each with that edge count."""
+    g = inst.graph
+    for b in combinations(g.sorted_vertices(), size):
+        inner = _edges_among(g, b)
+        if len(inner) < edges:
+            continue
+        for comp in sorted(g.subgraph(g.vertices - set(b)).components(), key=min):
+            if frozenset(x for v in comp for x in g.neighbors(v)) - comp == set(b):
+                yield ProtrusionDecomposition(g.vertices - comp,
+                                              (_part_for(inst, comp),), 3,
+                                              certified=False), len(inner)
+
+
+def test_candidate_sets_match_the_reference_on_adjacent_boundaries():
+    # the corpora above almost never give a part a boundary holding an
+    # edge, the case where kept edges and blocks fall in one class
+    found = Counter()
+    for variant, size, edges in ((CONNECTED, 2, 1), (PLAIN, 3, 2)):
+        for inst in random_corpus(15, 70_000, n_lo=4, n_hi=6,
+                                  variants=(variant,)):
+            for pd, m in islice(_adjacent_boundary_parts(inst, size, edges), 3):
+                assert compute_candidate_sets(inst, pd) == \
+                    ref_candidate_sets(inst, pd)
+                found[variant, m] += 1
+    assert found[CONNECTED, 1] >= 30, found
+    assert found[PLAIN, 2] + found[PLAIN, 3] >= 20 and found[PLAIN, 3] >= 1, found
 
 
 def test_candidates_trivial_decomposition_take_everything():
