@@ -3,13 +3,19 @@
 Exit codes: 0 success (including a no answer), 1 usage, input or output
 error (such as an unwritable output path), 2 capacity exceeded.
 
-``main`` builds its parser on every call, with only the subparser that
-the first argument names (all four when it names none): building all of
-them cost more than the rest of a typical desk-scale command.  It is not
-cached: the closed-loop benchmark in ``perfbench/`` keeps every command's
-output, so its peak RSS grows with throughput, and a cached parser pushed
-it past its bound there.  Caching waits until that harness stops keeping
-outputs.
+When the first argument names a subcommand, ``main`` parses the rest with
+that subcommand's own parser (``degedit <name>``), the one the whole tree
+would hand it to.  It builds the whole tree (``build_parser``) only when no
+subcommand is named or that parser leaves arguments over, and parses the
+line again there, so such lines get the tree's usage line and errors.  A
+named line costs about 0.16 ms to parse this way, and 0.30 ms with the
+top-level parser built as well (2 vCPUs, Python 3.11.7), out of 0.5 to
+1.4 ms for a whole desk-scale command.
+
+No parser is cached: the closed-loop benchmark in ``perfbench/`` keeps
+every command's output, so its peak RSS grows with throughput, and a
+cached parser (desk-mix p50 about 40% lower) pushed it past its 10% bound
+there.  Caching waits until that harness stops keeping outputs.
 """
 
 from __future__ import annotations
@@ -175,38 +181,39 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for ``command`` alone when it names a subcommand, else
-    for all of them.
+def _add_arguments(parser: argparse.ArgumentParser, name: str
+                   ) -> argparse.ArgumentParser:
+    _, func, arguments = COMMANDS[name]
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(func=func)
+    return parser
 
-    With one subcommand the subparsers action gets every name as its
-    metavar, so the top-level usage line (printed with an unrecognized
-    argument) reads as with all four.  With all four it gets none: an
-    invalid choice is then reported as ``argument command:``.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: ``degedit`` with all four subcommands, built on
+    every call.  ``main`` parses a line with it only when the line names no
+    subcommand or the subcommand's parser leaves arguments over."""
     parser = argparse.ArgumentParser(
         prog="degedit",
         description="degree-constrained deletion on planar graphs: "
                     "exact solving and kernelization")
-    if command in COMMANDS:
-        names, metavar = (command,), "{" + ",".join(COMMANDS) + "}"
-    else:
-        names, metavar = tuple(COMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_line, func, arguments = COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-        p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = rest = None
+        if argv and argv[0] in COMMANDS:
+            # what the subcommand's parser in the tree does with this line
+            parser = argparse.ArgumentParser(prog=f"degedit {argv[0]}")
+            args, rest = _add_arguments(parser, argv[0]).parse_known_args(argv[1:])
+        if args is None or rest:
+            args = build_parser().parse_args(argv)
     except SystemExit as ex:
         return 1 if ex.code not in (0, None) else 0
     try:

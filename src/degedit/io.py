@@ -89,15 +89,15 @@ def parse_instance(text: str) -> Instance:
                             bad_e = f"edge ({u}, {v}) out of range", no
                         elif u >= v:
                             bad_e = f"edge endpoints must satisfy u < v, got ({u}, {v})", no
-                        elif (u, v) in weight_e:
+                        elif (e := (u, v)) in weight_e:
                             bad_e = f"duplicate edge ({u}, {v})", no
                         elif w < 1:
                             bad_e = f"edge weight must be >= 1, got {w}", no
                         elif c < 0:
                             bad_e = "edge cost must be non-negative", no
                         else:
-                            weight_e[u, v] = w
-                            cost_e[u, v] = c
+                            weight_e[e] = w
+                            cost_e[e] = c
                             continue
             extra_e += 1
         elif kind == "v":

@@ -111,8 +111,9 @@ def _eliminate(adj: dict[int, set[int]], v: int) -> None:
     del adj[v]
 
 
-def _min_degree_order(g: Graph) -> list[int]:
-    """Repeatedly eliminate the vertex minimising (degree, id).
+def _min_degree_elimination(g: Graph) -> tuple[list[int], list[frozenset[int]]]:
+    """Repeatedly eliminate the vertex minimising (degree, id); the order,
+    and the bag of each vertex: itself and its neighbours when eliminated.
 
     A heap holds (degree, id) pairs; an entry is stale once its vertex is
     gone or its degree changed, and is dropped when popped.  Eliminating v
@@ -122,7 +123,7 @@ def _min_degree_order(g: Graph) -> list[int]:
     current = {v: len(ns) for v, ns in adj.items()}
     heap = [(k, v) for v, k in current.items()]
     heapq.heapify(heap)
-    order = []
+    order, bags = [], []
     while heap:
         k, v = heapq.heappop(heap)
         if current.get(v) != k:
@@ -130,40 +131,36 @@ def _min_degree_order(g: Graph) -> list[int]:
         order.append(v)
         del current[v]
         nbrs = adj[v]
+        bags.append(frozenset(nbrs | {v}))
         _eliminate(adj, v)
         for x in nbrs:
             k = len(adj[x])
             if current[x] != k:
                 current[x] = k
                 heapq.heappush(heap, (k, x))
-    return order
-
-
-def from_elimination_order(g: Graph, order: list[int]) -> TreeDecomposition:
-    """Decomposition whose bags are the elimination neighborhoods."""
-    if not order:
-        return TreeDecomposition((frozenset(),), frozenset())
-    adj = _adj_dict(g)
-    pos = {v: i for i, v in enumerate(order)}
-    bags: list[frozenset[int]] = []
-    parents: list[int | None] = []
-    for v in order:
-        bag = frozenset(adj[v] | {v})
-        bags.append(bag)
-        rest = bag - {v}
-        parents.append(min((pos[u] for u in rest), default=None))
-        _eliminate(adj, v)
-    edges = {tuple(sorted((i, p))) for i, p in enumerate(parents) if p is not None}
-    # chain the component roots so the result is a single tree
-    roots = [i for i, p in enumerate(parents) if p is None]
-    for a, b in zip(roots, roots[1:]):
-        edges.add((a, b))
-    return TreeDecomposition(tuple(bags), frozenset(edges))
+    return order, bags
 
 
 def decompose(g: Graph) -> TreeDecomposition:
-    """Build a valid tree decomposition of g by min-degree elimination."""
-    return from_elimination_order(g, _min_degree_order(g))
+    """Build a valid tree decomposition of g by min-degree elimination.
+
+    Each vertex's bag hangs below the bag of its neighbour eliminated
+    first after it; the bags with no such neighbour are chained in order.
+    """
+    order, bags = _min_degree_elimination(g)
+    if not order:
+        return TreeDecomposition((frozenset(),), frozenset())
+    pos = {v: i for i, v in enumerate(order)}
+    edges, roots = set(), []
+    for i, (v, bag) in enumerate(zip(order, bags)):
+        parent = min((pos[u] for u in bag if u != v), default=None)
+        if parent is None:
+            roots.append(i)
+        else:
+            edges.add((i, parent))
+    # chain the component roots so the result is a single tree
+    edges.update(zip(roots, roots[1:]))
+    return TreeDecomposition(tuple(bags), frozenset(edges))
 
 
 # -- validation ---------------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from degedit import cli
 from degedit.cli import DEFAULT_WIDTH_CAP, main
@@ -317,12 +318,13 @@ def test_kernelize_writes_a_decided_instance(tmp_path, capsys, text, answer):
     assert (code, out) == (0, "equivalent yes\n")
 
 
-# -- the parser built per command against the one that held all commands -------
+# -- the command's own parser against the one that held all commands ----------
 
 
 def reference_parser():
-    """The parser as it was built before ``main`` built only the named
-    subcommand: every subparser, every call."""
+    """The parser as it was built before ``main`` parsed a named
+    subcommand with that subcommand's parser alone: every subparser, every
+    call."""
     parser = argparse.ArgumentParser(
         prog="degedit",
         description="degree-constrained deletion on planar graphs: "
@@ -455,3 +457,52 @@ def test_main_reads_sys_argv(tmp_path, monkeypatch):
     for argv in (["solve", "--input", str(f)], ["solve"], ["-h"], []):
         monkeypatch.setattr(sys, "argv", ["degedit"] + argv)
         assert _outcome(lambda _: main(), None) == _outcome(main, argv)
+
+
+# -- random command lines -------------------------------------------------------
+
+# a value of each kind the options take, valid or not; TRI stands for the
+# path of a triangle file, rewritten before every run
+ARGV_VALUES = ("0", "3", "-1", "1.5", "x", "auto", "dp", "brute", "plain",
+               "connected", "TRI")
+ARGV_FLAGS = ("--input", "--method", "--width-cap", "--output", "--trace",
+              "--original", "--kernel", "--n", "--kv", "--ke", "--cost-budget",
+              "--variant", "--seed", "--raw", "--help")
+ARGV_TOKENS = (tuple(cli.COMMANDS) + ("--", "-h", "extra", "--bogus")
+               + ARGV_VALUES
+               + tuple(flag[:i] for flag in ARGV_FLAGS
+                       for i in range(3, len(flag) + 1))
+               + tuple(f"{flag}={value}" for flag in ARGV_FLAGS
+                       for value in ARGV_VALUES))
+
+
+@st.composite
+def command_lines(draw):
+    """Up to 8 tokens, often led by a subcommand."""
+    head = draw(st.lists(st.sampled_from(tuple(cli.COMMANDS)), max_size=1))
+    return head + draw(st.lists(st.sampled_from(ARGV_TOKENS),
+                                max_size=8 - len(head)))
+
+
+def fresh_outcome(run, argv, work):
+    """``_outcome`` of argv, TRI read as the triangle's path, with the
+    working directory ``work`` holding the triangle file alone."""
+    for f in work.iterdir():
+        f.unlink()
+    tri = work / "tri.deg"
+    tri.write_text(TRIANGLE)
+    return _outcome(run, [str(tri) if a == "TRI" else
+                          a.replace("=TRI", f"={tri}") for a in argv])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_lines())
+def test_main_matches_the_all_commands_parser_on_random_lines(
+        tmp_path, monkeypatch, argv):
+    # the second parse through the whole tree after leftover arguments,
+    # and "--", where argparse changed between Python 3.10 and 3.13
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    assert fresh_outcome(main, argv, tmp_path) == \
+        fresh_outcome(reference_main, argv, tmp_path)

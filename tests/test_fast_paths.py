@@ -1,18 +1,22 @@
 """Differential tests: the bag-local and heap-driven paths against the
 straightforward scans they replaced, kept here as reference copies."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from degedit.dpsolve import _bits, _entry_less, _prepare, _set_less
+from degedit.dpsolve import _bits, _entry_less, _prepare, _set_less, active_region
 from degedit.generator import generate_random_planar_instance, random_planar_graph
 from degedit.graph import Graph
 from degedit.instance import CONNECTED, PLAIN
+from degedit.io import parse_instance
 from degedit.treewidth import (FORGET, INTRODUCE, JOIN, LEAF,
                                DecompositionVerdict, NiceTreeDecomposition,
                                TreeDecomposition, _adj_dict, _eliminate,
-                               _is_tree, _min_degree_order, decompose,
+                               _is_tree, _min_degree_elimination, decompose,
                                to_nice, validate)
 
 from conftest import random_corpus
@@ -88,7 +92,53 @@ def _order_graphs():
 
 def test_heap_orders_match_min_scans():
     for g in _order_graphs():
-        assert _min_degree_order(g) == _min_degree_order_scan(g)
+        assert _min_degree_elimination(g)[0] == _min_degree_order_scan(g)
+
+
+def _from_elimination_order(g, order):
+    """The decomposition as it was built, by a second elimination in the
+    given order: bags are the elimination neighbourhoods."""
+    if not order:
+        return TreeDecomposition((frozenset(),), frozenset())
+    adj = _adj_dict(g)
+    pos = {v: i for i, v in enumerate(order)}
+    bags, parents = [], []
+    for v in order:
+        bag = frozenset(adj[v] | {v})
+        bags.append(bag)
+        parents.append(min((pos[u] for u in bag - {v}), default=None))
+        _eliminate(adj, v)
+    edges = {tuple(sorted((i, p))) for i, p in enumerate(parents) if p is not None}
+    roots = [i for i, p in enumerate(parents) if p is None]
+    for a, b in zip(roots, roots[1:]):
+        edges.add((a, b))
+    return TreeDecomposition(tuple(bags), frozenset(edges))
+
+
+def _solve_planted_graphs():
+    """The graphs of the benchmark's solve-planted corpus (seeds 301 and
+    302) and of their active regions."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_corpus", Path(__file__).parents[1] / "perfbench" / "corpus.py")
+    corpus = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(corpus)
+    for seed in (301, 302):
+        rng = random.Random(seed)
+        for i in range(64):
+            connected = i % 2 == 1
+            inst = parse_instance(corpus.planted_instance(
+                150 if connected else 220, 2, 2, connected, rng).text)
+            region = active_region(inst)
+            yield inst.graph
+            if region is not None:
+                yield region.graph
+
+
+def test_one_elimination_builds_the_two_pass_decomposition():
+    graphs = list(_order_graphs()) + list(_solve_planted_graphs())
+    assert len(graphs) > 250
+    for g in graphs:
+        assert decompose(g) == _from_elimination_order(g, _min_degree_order_scan(g))
 
 
 # -- validation ----------------------------------------------------------------

@@ -466,48 +466,61 @@ def _solutions_by_group(ps, width, inst):
             for hv in range(inst.k_v + 1) for he in range(inst.k_e + 1)}
 
 
-def test_root_groups_match_per_target_runs():
-    # a connected part whose boundary pair shares an edge: per loss group
-    # and budget pair, the table of each class gives the solution of every
-    # reference shape in it, and of each per-target run at targets
-    # deg - loss
+def _root_group_cases():
+    """(part, instance) pairs: a connected C4 part whose boundary pair
+    shares an edge, then generated parts whose boundary holds an edge,
+    connected with two boundary vertices and plain with three."""
     inst = cycle_instance(4, 1, k_v=1, k_e=2, cost_budget=2, variant=CONNECTED)
     part = _part_for(inst, [2, 3])
     assert part.boundary == {1, 4}
-    configs = enumerate_configs(part, inst)
-    assert_classes_onto(configs, part, inst)
-    by_class = {}
-    for cfg in configs:
-        sub, gadget = build_boundary_instance(cfg, part, inst)
-        top = (part.boundary - cfg.removed_vertices) | gadget
-        table = PreparedSolve(
-            sub, _patched_ntd(part.cert, cfg.removed_vertices, top), check=False)
-        width = len(part.boundary - cfg.removed_vertices)
-        by_class[cfg] = _solutions_by_group(table, width, inst)
-    for shape in ref_shapes(part, inst):
-        kept = sorted(part.boundary - shape.removed_vertices)
-        sub, gadget = ref_boundary_instance(
-            RefConfig(shape.removed_vertices, shape.removed_edges,
-                      tuple((v, 0) for v in kept), shape.cover), part, inst)
-        table = PreparedSolve(sub, _patched_ntd(
-            part.cert, shape.removed_vertices, frozenset(kept) | gadget),
-            check=False)
-        assert _solutions_by_group(table, len(kept), inst) == \
-            by_class[ref_class(shape, part, inst)], shape
-    found = 0
-    for cfg in ref_configs(part, inst):
-        ref_sub, ref_gadget = ref_boundary_instance(cfg, part, inst)
-        run = PreparedSolve(ref_sub, ref_patched_ntd(
-            part.cert, cfg.removed_vertices, ref_gadget))
-        loss = tuple(ref_sub.graph.degree(v) - t for v, t in cfg.targets)
-        solutions = by_class[ref_class(cfg.shape, part, inst)]
-        for hv in range(inst.k_v + 1):
-            for he in range(inst.k_e + 1):
-                sol = best_within(run.ctx, run.answers.get((), ()), hv, he)
-                assert solutions.get((loss, hv, he)) == sol, (cfg, hv, he)
-                found += sol is not None
-    groups = [len({key[0] for key in sols}) for sols in by_class.values()]
-    assert found >= 10 and max(groups) >= 3, (found, groups)
+    yield part, inst
+    for variant, size, edges in ((CONNECTED, 2, 1), (PLAIN, 3, 2)):
+        for inst in random_corpus(4, 71_000, n_lo=4, n_hi=6,
+                                  variants=(variant,)):
+            for pd, _ in islice(_adjacent_boundary_parts(inst, size, edges), 2):
+                yield pd.parts[0], inst
+
+
+def test_root_groups_match_per_target_runs():
+    # per loss group and budget pair, the table of each class gives the
+    # solution of every reference shape in it, and of each per-target run
+    # at targets deg - loss
+    found, groups = Counter(), []
+    for part, inst in _root_group_cases():
+        configs = enumerate_configs(part, inst)
+        assert_classes_onto(configs, part, inst)
+        by_class = {}
+        for cfg in configs:
+            sub, gadget = build_boundary_instance(cfg, part, inst)
+            top = (part.boundary - cfg.removed_vertices) | gadget
+            table = PreparedSolve(sub, _patched_ntd(
+                part.cert, cfg.removed_vertices, top), check=False)
+            width = len(part.boundary - cfg.removed_vertices)
+            by_class[cfg] = _solutions_by_group(table, width, inst)
+        for shape in ref_shapes(part, inst):
+            kept = sorted(part.boundary - shape.removed_vertices)
+            sub, gadget = ref_boundary_instance(
+                RefConfig(shape.removed_vertices, shape.removed_edges,
+                          tuple((v, 0) for v in kept), shape.cover), part, inst)
+            table = PreparedSolve(sub, _patched_ntd(
+                part.cert, shape.removed_vertices, frozenset(kept) | gadget),
+                check=False)
+            assert _solutions_by_group(table, len(kept), inst) == \
+                by_class[ref_class(shape, part, inst)], shape
+        for cfg in ref_configs(part, inst):
+            ref_sub, ref_gadget = ref_boundary_instance(cfg, part, inst)
+            run = PreparedSolve(ref_sub, ref_patched_ntd(
+                part.cert, cfg.removed_vertices, ref_gadget))
+            loss = tuple(ref_sub.graph.degree(v) - t for v, t in cfg.targets)
+            solutions = by_class[ref_class(cfg.shape, part, inst)]
+            for hv in range(inst.k_v + 1):
+                for he in range(inst.k_e + 1):
+                    sol = best_within(run.ctx, run.answers.get((), ()), hv, he)
+                    assert solutions.get((loss, hv, he)) == sol, (cfg, hv, he)
+                    found[inst.variant] += sol is not None
+        groups += [len({key[0] for key in sols}) for sols in by_class.values()]
+    assert found[CONNECTED] >= 30 and found[PLAIN] >= 30, found
+    assert max(groups) >= 3, groups
 
 
 def test_candidate_sets_match_the_per_target_reference(monkeypatch):

@@ -7,7 +7,7 @@ from degedit.generator import random_planar_graph
 from degedit.graph import Graph
 from degedit.treewidth import (FORGET, INTRODUCE, JOIN, LEAF,
                                NiceTreeDecomposition, TreeDecomposition,
-                               decompose, from_elimination_order, to_nice,
+                               decompose, to_nice,
                                validate)
 
 from conftest import cycle_instance
