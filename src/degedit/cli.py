@@ -13,9 +13,11 @@ top-level parser built as well (2 vCPUs, Python 3.11.7), out of 0.5 to
 1.4 ms for a whole desk-scale command.
 
 No parser is cached: the closed-loop benchmark in ``perfbench/`` keeps
-every command's output, so its peak RSS grows with throughput, and a
-cached parser (desk-mix p50 about 40% lower) pushed it past its 10% bound
-there.  Caching waits until that harness stops keeping outputs.
+every command's output, so its peak RSS grows with throughput.  In two
+sets of 3 alternating pairs of 30 s desk-mix runs (2 vCPUs, Python
+3.11.7), a cached parser cut p50 by 44% and 31% but raised peak RSS by
+13% and 10%, at or past that benchmark's 10% bound.  Caching waits until
+that harness stops keeping outputs.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .io import format_solution, parse_instance, write_instance
 from .kernelize import KERNEL, format_trace, kernelize
 from .normalize import DECIDED_YES
 from .oracle import (DEFAULT_EDGE_CAP, DEFAULT_VERTEX_CAP,
-                     brute_force_min_cost, equivalence_check)
+                     brute_force_min_cost, equivalence_check, fits_oracle)
 from .treewidth import decompose, to_nice
 
 DEFAULT_WIDTH_CAP = 8
@@ -70,11 +72,18 @@ def _solve_with(inst, method: str, width_cap: int) -> Solution | None:
     if method == "brute":
         rep = brute_force_min_cost(inst)
         return rep.best() if rep.feasible else None
-    # auto: the dynamic program on the active region while its decomposition
-    # stays narrow, then on the whole graph, whose heuristic width may differ
+    # auto: enumeration on an active region the oracle fits, else the
+    # dynamic program on the region while its decomposition stays narrow,
+    # then on the whole graph, whose heuristic width may differ
     target = active_region(inst)
     if target is None:
         return None
+    if fits_oracle(target):
+        rep = brute_force_min_cost(target)
+        if rep.truncated:
+            raise RuntimeError("a region that fits the oracle gave a "
+                               "truncated report")
+        return rep.best()
     ntd = to_nice(decompose(target.graph))
     if ntd.width > width_cap and target is not inst:
         target, ntd = inst, to_nice(decompose(inst.graph))

@@ -1,4 +1,5 @@
-"""Exact brute-force solver used as ground truth at desk scale.
+"""Exact brute-force solver: ground truth at desk scale, and the method
+``solve --method auto`` uses on an active region that ``fits_oracle``.
 
 Instances are index-encoded (vertices 0..n-1, adjacency bitmasks, edge
 endpoint arrays) and enumerated over efficient candidate pairs only:
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import CapacityError
 from .instance import Instance, Solution
@@ -19,6 +21,24 @@ from .instance import Instance, Solution
 DEFAULT_VERTEX_CAP = 12
 DEFAULT_EDGE_CAP = 18
 DEFAULT_OPTIMA_CAP = 10_000
+
+
+def candidate_pairs(inst: Instance) -> int:
+    """Pairs (U, D) with |U| <= k_v and |D| <= k_e: a bound on the pairs
+    ``brute_force_min_cost`` examines, which draws no more, and so on the
+    optima it finds, each a distinct pair."""
+    n, m = inst.graph.n, inst.graph.m
+    return (sum(comb(n, r) for r in range(min(n, inst.k_v) + 1))
+            * sum(comb(m, s) for s in range(min(m, inst.k_e) + 1)))
+
+
+def fits_oracle(inst: Instance) -> bool:
+    """Whether ``brute_force_min_cost`` answers inst at its default caps
+    with a report that cannot be truncated, so its ``best()`` is the
+    minimum by (cost, sorted ids, sorted edge pairs)."""
+    return (inst.graph.n <= DEFAULT_VERTEX_CAP
+            and inst.graph.m <= DEFAULT_EDGE_CAP
+            and candidate_pairs(inst) <= DEFAULT_OPTIMA_CAP)
 
 
 def backend_name() -> str:

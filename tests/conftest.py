@@ -26,6 +26,57 @@ def random_corpus(count, base_seed, n_lo=1, n_hi=9, k_sum_max=3, raw=False,
     return out
 
 
+def planted_yes(n, k_v, k_e, variant, seed):
+    """Yes-instance on a stacked triangulation of n >= 3 vertices (treewidth
+    at most 3), the plain variant on a random 70% of its edges: a random
+    deletion pair within the budgets (the survivor connected in the
+    connected variant) is planted, survivors get their degree after it as
+    target, deleted vertices an arbitrary one, and the cost budget is the
+    pair's cost.  ``_planted`` in test_dpsolve.py, at given size and
+    budgets and without its nudged targets."""
+    rng = random.Random(seed)
+    vertices = range(1, n + 1)
+    faces, edges = [(1, 2, 3)], {(1, 2), (1, 3), (2, 3)}
+    for v in range(4, n + 1):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+        edges |= {(a, v), (b, v), (c, v)}
+    edges = sorted(edges)
+    if variant == PLAIN:
+        edges = [e for e in edges if rng.random() < 0.7]
+    weight_v = {v: rng.choice((1, 1, 2)) for v in vertices}
+    weight_e = {e: rng.choice((1, 1, 2)) for e in edges}
+    while True:
+        gone = pick_within(vertices, weight_v, k_v, rng)
+        live = [e for e in edges if not gone & set(e)]
+        kept = sorted(set(live) - pick_within(live, weight_e, k_e, rng))
+        if variant == PLAIN or Graph(set(vertices) - gone, kept).is_connected():
+            break
+    deg = {v: 0 for v in vertices}
+    for a, b in kept:
+        deg[a] += 1
+        deg[b] += 1
+    delta = {v: rng.randint(0, deg[v] + 3) if v in gone else deg[v]
+             for v in vertices}
+    cost_v = {v: rng.randint(0, 2) for v in vertices}
+    cost_e = {e: rng.randint(0, 2) for e in edges}
+    cut = set(live) - set(kept)
+    return make_instance(
+        vertices, edges, delta, k_v, k_e,
+        sum(cost_v[v] for v in gone) + sum(cost_e[e] for e in cut), variant,
+        weight_v=weight_v, weight_e=weight_e, cost_v=cost_v, cost_e=cost_e)
+
+
+def pick_within(items, weight, budget, rng):
+    """Random items, taken while their weight fits the budget."""
+    chosen = set()
+    for x in rng.sample(list(items), len(items)):
+        if weight[x] <= budget:
+            chosen.add(x)
+            budget -= weight[x]
+    return chosen
+
+
 def make_instance(vertices, edges, delta, k_v=0, k_e=0, cost_budget=0,
                   variant=PLAIN, weight_v=None, weight_e=None,
                   cost_v=None, cost_e=None):

@@ -6,20 +6,23 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from degedit import cli
 from degedit.cli import DEFAULT_WIDTH_CAP, main
+from degedit.dpsolve import active_region
 from degedit.errors import CapacityError, ParseError
 from degedit.generator import generate_random_planar_instance
 from degedit.instance import CONNECTED, PLAIN, Solution, check_solution
 from degedit.io import parse_instance, write_instance
-from degedit.oracle import DEFAULT_VERTEX_CAP, brute_force_min_cost
+from degedit.oracle import (DEFAULT_EDGE_CAP, DEFAULT_OPTIMA_CAP,
+                            DEFAULT_VERTEX_CAP, brute_force_min_cost)
 from degedit.treewidth import decompose, to_nice
 
-from conftest import make_instance, random_corpus
+from conftest import make_instance, planted_yes, random_corpus
 
 TRIANGLE = """\
 p degedit 3 3 0 0 0 0
@@ -235,18 +238,67 @@ def test_solve_dp_validates_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_solve_auto_and_dp_print_the_same_bytes(tmp_path, capsys):
-    # auto solves the active region, dp the whole graph; at width cap 1
-    # auto falls back to the whole graph or brute force where the region
-    # is wider
+def _auto_path(inst):
+    """How ``solve --method auto`` must answer inst, by the rule written out
+    here: "no" when the active region alone says no; "fits" when the region
+    has at most 12 vertices, 18 edges and 10,000 candidate pairs (|U| at
+    most k_v, |D| at most k_e), which are enumerated; otherwise the DP, for
+    the first bound the region is over."""
+    region = active_region(inst)
+    if region is None:
+        return "no"
+    n, m = region.graph.n, region.graph.m
+    pairs = (sum(comb(n, r) for r in range(min(n, region.k_v) + 1))
+             * sum(comb(m, s) for s in range(min(m, region.k_e) + 1)))
+    if m > DEFAULT_EDGE_CAP:
+        return "edges"
+    if n > DEFAULT_VERTEX_CAP:
+        return "vertices"
+    return "pairs" if pairs > DEFAULT_OPTIMA_CAP else "fits"
+
+
+def test_solve_auto_and_dp_print_the_same_bytes(tmp_path, capsys, monkeypatch):
+    # auto enumerates an active region that fits the oracle and runs the DP
+    # on any other, dp runs the DP on the whole graph, brute enumerates the
+    # whole graph; at width cap 1 auto falls back to the whole graph or
+    # brute force where the region is wider
+    calls = []
+    for name, method in (("brute_force_min_cost", "oracle"),
+                         ("solve_auto", "dp")):
+        def counting(*args, _original=getattr(cli, name), _method=method):
+            calls.append(_method)
+            return _original(*args)
+        monkeypatch.setattr(cli, name, counting)
+    planted = [planted_yes(40, 1, 1, PLAIN, 1), planted_yes(40, 1, 1, CONNECTED, 0),
+               planted_yes(40, 2, 2, PLAIN, 0)]
     corpus = (random_corpus(20, 62_000, n_hi=12)
-              + random_corpus(20, 63_000, n_hi=12, raw=True))
+              + random_corpus(20, 63_000, n_hi=12, raw=True)
+              # budgets up to 6 put some regions over the pair bound
+              + random_corpus(20, 64_000, n_lo=9, n_hi=12, k_sum_max=6)
+              # above the oracle's caps, most regions too
+              + [generate_random_planar_instance(
+                  14 + s, s % 3, (s + 1) % 3, 6, (PLAIN, CONNECTED)[s % 2],
+                  seed=65_000 + s) for s in range(12)]
+              + planted)
+    expected = {"no": [], "fits": ["oracle"]}
+    kinds = Counter()
     for i, inst in enumerate(corpus):
+        kind = _auto_path(inst)
+        kinds[kind] += 1
         f = tmp_path / f"i{i}.deg"
         f.write_text(write_instance(inst))
-        outs = {run_cli(["solve", "--input", str(f)] + extra, capsys)
-                for extra in ([], ["--width-cap", "1"], ["--method", "dp"])}
-        assert len(outs) == 1 and outs.pop()[0] == 0, inst
+        calls.clear()
+        outs = [run_cli(["solve", "--input", str(f)], capsys)]
+        assert calls == expected.get(kind, ["dp"]), (kind, inst)
+        extras = [["--method", "dp"]]
+        if inst.graph.n <= DEFAULT_VERTEX_CAP and inst.graph.m <= DEFAULT_EDGE_CAP:
+            extras += [["--width-cap", "1"], ["--method", "brute"]]
+        outs += [run_cli(["solve", "--input", str(f)] + extra, capsys)
+                 for extra in extras]
+        assert len(set(outs)) == 1 and outs[0][0] == 0, inst
+    assert kinds.keys() == {"no", "fits", "vertices", "edges", "pairs"}, kinds
+    # planted n = 40 inputs: two regions fit the oracle, one does not
+    assert [_auto_path(inst) for inst in planted] == ["fits", "fits", "edges"]
 
 
 def _planted_grid(side, seed):

@@ -13,7 +13,8 @@ from degedit.oracle import brute_force_min_cost
 from degedit.treewidth import (JOIN, NiceTreeDecomposition, TreeDecomposition,
                                decompose, to_nice)
 
-from conftest import cycle_instance, make_instance, path_instance, random_corpus
+from conftest import (cycle_instance, make_instance, path_instance,
+                      pick_within, random_corpus)
 
 
 def test_triangle_zero_budgets():
@@ -287,9 +288,9 @@ def _planted(seed):
     k_v, k_e = rng.randint(0, 2), rng.randint(0, 2)
     weight_v = {v: rng.choice((1, 1, 2)) for v in range(1, n + 1)}
     weight_e = {e: rng.choice((1, 1, 2)) for e in edges}
-    gone = _within(range(1, n + 1), weight_v, k_v, rng)
+    gone = pick_within(range(1, n + 1), weight_v, k_v, rng)
     live = [e for e in edges if not gone & set(e)]
-    cut = _within(live, weight_e, k_e, rng)
+    cut = pick_within(live, weight_e, k_e, rng)
     deg = {v: 0 for v in range(1, n + 1)}
     for a, b in live:
         if (a, b) not in cut:
@@ -307,16 +308,6 @@ def _planted(seed):
         range(1, n + 1), edges, delta, k_v, k_e,
         planted_cost + rng.randint(0, 2), variant,
         weight_v=weight_v, weight_e=weight_e, cost_v=cost_v, cost_e=cost_e)
-
-
-def _within(items, weight, budget, rng):
-    """Random items, taken while their weight fits the budget."""
-    chosen = set()
-    for x in rng.sample(list(items), len(items)):
-        if weight[x] <= budget:
-            chosen.add(x)
-            budget -= weight[x]
-    return chosen
 
 
 def planted_outputs():

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from degedit import cli
+from degedit.dpsolve import active_region
 from degedit.errors import CapacityError
 from degedit.generator import generate_random_planar_instance
 from degedit.graph import edge_key
 from degedit.instance import CONNECTED, PLAIN, Solution, check_solution, is_efficient
-from degedit.oracle import brute_force_min_cost, equivalence_check
+from degedit.oracle import (brute_force_min_cost, candidate_pairs,
+                            equivalence_check, fits_oracle)
 
-from conftest import cycle_instance, make_instance, path_instance
+from conftest import cycle_instance, make_instance, path_instance, random_corpus
 
 
 def test_triangle_trivial_yes():
@@ -121,3 +124,63 @@ def test_optima_truncation_flag():
     rep = brute_force_min_cost(inst, optima_cap=1)
     assert rep.feasible and rep.truncated
     assert len(rep.optima) == 1
+
+
+# -- the fit test: which inputs the oracle answers for solve --method auto -----
+
+
+FIT_CORPUS = (random_corpus(150, 71_000, n_hi=12)
+              + random_corpus(150, 72_000, n_hi=12, raw=True)
+              + random_corpus(60, 73_000, n_lo=9, n_hi=12, k_sum_max=6))
+
+
+def test_candidate_pairs_bound_the_search():
+    for inst in FIT_CORPUS:
+        assert candidate_pairs(inst) >= brute_force_min_cost(inst).search_space, inst
+
+
+def test_candidate_pairs_by_hand():
+    # the triangle at zero budgets: only the empty pair
+    triangle = make_instance([1, 2, 3], [(1, 2), (1, 3), (2, 3)], 2)
+    assert candidate_pairs(triangle) == 1
+    # C4 with k_e = 2: no vertex set, and 1 + 4 + 6 edge sets of at most 2
+    assert candidate_pairs(cycle_instance(4, 1, k_e=2)) == 11
+    # P3 with k_v = 5 > n and k_e = 4 > m: all 8 vertex sets, all 4 edge sets
+    assert candidate_pairs(path_instance(3, 1, k_v=5, k_e=4)) == 32
+
+
+def test_fits_oracle_at_each_bound():
+    cycle = [(i, i + 1) for i in range(1, 12)] + [(1, 12)]
+    # 12 vertices and 18 edges, the cycle plus six chords, fit; a 19th does not
+    for last, fits in ((8, True), (9, False)):
+        chords = [(1, k) for k in range(3, last + 1)]
+        assert fits_oracle(make_instance(range(1, 13), cycle + chords, 1)) == fits
+    assert not fits_oracle(path_instance(13, 1))
+    # 2^12 = 4,096 pairs fit, 2^12 * (1 + 11) = 49,152 do not
+    assert fits_oracle(path_instance(12, 1, k_v=12))
+    assert not fits_oracle(path_instance(12, 1, k_v=12, k_e=1))
+
+
+def test_a_region_that_fits_is_never_truncated():
+    fitting = 0
+    above_caps = [generate_random_planar_instance(
+        14 + s % 17, s % 3, s % 4, 6, (PLAIN, CONNECTED)[s % 2], seed=74_000 + s)
+        for s in range(60)]
+    for inst in FIT_CORPUS + above_caps:
+        region = active_region(inst)
+        if region is None or not fits_oracle(region):
+            continue
+        fitting += 1
+        rep = brute_force_min_cost(region)
+        assert not rep.truncated and len(rep.optima) <= candidate_pairs(region)
+    assert fitting >= 200, fitting
+
+
+def test_solve_auto_refuses_a_truncated_report(monkeypatch):
+    # C4 at these budgets has two optima; a report cut at one is not used
+    inst = cycle_instance(4, 1, k_e=2, cost_budget=2)
+    assert fits_oracle(active_region(inst))
+    monkeypatch.setattr(cli, "brute_force_min_cost",
+                        lambda region: brute_force_min_cost(region, optima_cap=1))
+    with pytest.raises(RuntimeError, match="truncated"):
+        cli._solve_with(inst, "auto", cli.DEFAULT_WIDTH_CAP)
