@@ -70,8 +70,7 @@ def _solve_with(inst, method: str, width_cap: int) -> Solution | None:
         ntd = to_nice(decompose(inst.graph))
         return solve_auto(inst, ntd)
     if method == "brute":
-        rep = brute_force_min_cost(inst)
-        return rep.best() if rep.feasible else None
+        return brute_force_min_cost(inst).best()
     # auto: enumeration on an active region the oracle fits, else the
     # dynamic program on the region while its decomposition stays narrow,
     # then on the whole graph, whose heuristic width may differ
@@ -90,8 +89,7 @@ def _solve_with(inst, method: str, width_cap: int) -> Solution | None:
     if ntd.width <= width_cap:
         return solve_auto(target, ntd)
     if inst.graph.n <= DEFAULT_VERTEX_CAP and inst.graph.m <= DEFAULT_EDGE_CAP:
-        rep = brute_force_min_cost(inst)
-        return rep.best() if rep.feasible else None
+        return brute_force_min_cost(inst).best()
     raise CapacityError(
         f"decomposition width {ntd.width} exceeds the cap {width_cap} and "
         f"the instance exceeds the brute-force caps "

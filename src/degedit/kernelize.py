@@ -10,10 +10,10 @@ them.  A configuration is a set of removed boundary vertices and, in the
 connected variant, a partition of the kept boundary into blocks joined
 outside the part.  Edges among kept boundary vertices are always left out
 of the table: no part vertex is an end of one, and a kept edge ab joins a
-and b just as a block {a, b} does.  Each block of two or more vertices
-attaches one gadget vertex (a one-vertex block joins nothing), and
-partitions whose gadget graph is not planar are never enumerated: one
-planarity test per part decides them all.
+and b just as a block {a, b} does, so a block joins its consecutive
+vertices by undeletable, free edges and a table holds only the part's
+closed neighbourhood.  Partitions whose joined graph is not planar are
+never enumerated: one planarity test per part decides them all.
 
 The fifteen reduction rules are handlers on the rewrite state that
 normalization also runs on (``normalize.KernelState``): each changes the
@@ -46,11 +46,11 @@ from .treewidth import NiceTreeDecomposition, TreeDecomposition, to_nice
 KERNEL = "kernel"
 
 DEFAULT_ALPHA_CAP_PLAIN = 3
-# At most two boundary vertices, so a partition has at most one block with
-# a gadget, a pair {a, b}, and that block can only ever sit beside G[closed]
-# as the same path a–z–b: ``enumerate_configs`` tests gadget planarity once
-# per part.  A higher cap allows wider blocks and removal sets that change
-# the gadget graph, and then needs a planarity test per configuration again.
+# At most two boundary vertices, so a partition has at most one block that
+# joins anything, a pair {a, b}, and that block can only ever add the same
+# edge ab to G[closed]: ``enumerate_configs`` tests planarity once per part.
+# A higher cap allows wider blocks and removal sets that change the joined
+# graph, and then needs a planarity test per configuration again.
 DEFAULT_ALPHA_CAP_CONNECTED = 2
 
 # The reduction phases in order; each phase is one ``KernelState.run`` over
@@ -106,7 +106,7 @@ def enumerate_configs(part: Part, inst: Instance) -> list[BoundaryConfig]:
     """The boundary configurations of one part that get solved, canonically
     ordered: one per set of removed boundary vertices and, in the connected
     variant, per partition of the kept boundary into blocks joined outside
-    the part, less the partitions whose gadget graph is not planar."""
+    the part, less the partitions whose joined graph is not planar."""
     cap = alpha_cap_for(inst.variant)
     boundary = sorted(part.boundary)
     if len(boundary) > cap:
@@ -115,12 +115,12 @@ def enumerate_configs(part: Part, inst: Instance) -> list[BoundaryConfig]:
     g = inst.graph
     connected = inst.variant == CONNECTED
     # One test decides the whole part (see DEFAULT_ALPHA_CAP_CONNECTED): a
-    # pair block {a, b} adds the same path a–z–b to G[closed] in every
-    # configuration that holds it, and in place of an edge ab it stays planar.
+    # pair block {a, b} adds the same edge ab to G[closed] in every
+    # configuration that holds it, and nothing where ab is an edge of G.
     nonplanar_block = None
     if connected and len(boundary) == 2 and not g.has_edge(*boundary):
-        z = max(g.vertices) + 1
-        if not is_planar(g.subgraph(part.closed).add_vertex(z, boundary)):
+        closed = g.subgraph(part.closed)
+        if not is_planar(Graph(part.closed, [*closed.edges(), boundary])):
             nonplanar_block = tuple(boundary)
     out: list[BoundaryConfig] = []
     for x_bits in range(1 << len(boundary)):
@@ -135,18 +135,20 @@ def enumerate_configs(part: Part, inst: Instance) -> list[BoundaryConfig]:
 
 
 def build_boundary_instance(config: BoundaryConfig, part: Part, inst: Instance
-                            ) -> tuple[Instance, frozenset[int]]:
-    """The subinstance a configuration induces on a part, at the full budgets,
-    with the ids of its block gadget vertices.
+                            ) -> Instance:
+    """The subinstance a configuration induces on a part, at the full budgets.
 
     Boundary survivors are priced out of deletion and get target 0: the DP
     reads their targets off its root (see ``dpsolve``).  In the connected
-    variant each block of two or more vertices gets one gadget vertex
-    (``add_pendant``), with an id above every vertex of the graph.
+    variant consecutive vertices of a block (in sorted order) are joined by
+    an undeletable, free edge: weight k_e + 1, cost 0.
     """
     g = inst.graph
-    sub = g.subgraph(part.closed).delete_vertices(config.removed_vertices)
-    sub = sub.delete_edges(config.removed_edges)
+    keep = part.closed - config.removed_vertices
+    joins = frozenset(pair for block in config.cover or ()
+                      for pair in zip(block, block[1:]))
+    edges = (g.subgraph(keep).edge_set() - config.removed_edges) | joins
+    sub = Graph(keep, edges)
     kept_boundary = part.boundary - config.removed_vertices
     delta, weight_v = {}, {}
     for v in sub.vertices:
@@ -156,16 +158,12 @@ def build_boundary_instance(config: BoundaryConfig, part: Part, inst: Instance
         else:
             delta[v] = inst.delta[v]
             weight_v[v] = inst.weight_v[v]
-    edges = sub.edge_set()
-    out = Instance(sub, delta, weight_v, {e: inst.weight_e[e] for e in edges},
-                   {v: inst.cost_v[v] for v in sub.vertices},
-                   {e: inst.cost_e[e] for e in edges},
-                   inst.k_v, inst.k_e, inst.cost_budget, inst.variant)
-    blocks = [block for block in config.cover or () if len(block) > 1]
-    base = max(g.vertices, default=0) + 1
-    for z, block in enumerate(blocks, base):
-        out = add_pendant(out, z, block)
-    return out, frozenset(range(base, base + len(blocks)))
+    return Instance(
+        sub, delta, weight_v,
+        {e: inst.k_e + 1 if e in joins else inst.weight_e[e] for e in edges},
+        {v: inst.cost_v[v] for v in sub.vertices},
+        {e: 0 if e in joins else inst.cost_e[e] for e in edges},
+        inst.k_v, inst.k_e, inst.cost_budget, inst.variant)
 
 
 @dataclass(frozen=True)
@@ -213,18 +211,16 @@ def compute_candidate_sets(inst: Instance, pd: ProtrusionDecomposition
         budget_pairs = [(hv, he) for hv in range(inst.k_v + 1)
                         for he in range(inst.k_e + 1)]
         for cfg in configs:
-            sub_inst, gadget = build_boundary_instance(cfg, part, inst)
-            top = (part.boundary - cfg.removed_vertices) | gadget
+            top = part.boundary - cfg.removed_vertices
             # one run answers every budget pair of every target vector
-            ps = PreparedSolve(sub_inst, _patched_ntd(
-                part.cert, cfg.removed_vertices, top), check=False)
+            ps = PreparedSolve(build_boundary_instance(cfg, part, inst),
+                               _patched_ntd(part.cert, cfg.removed_vertices, top),
+                               check=False)
             for rows in ps.answers.values():
                 for hv, he in budget_pairs:
                     sol = best_within(ps.ctx, rows, hv, he)
                     if sol is None:
                         continue
-                    if sol.deleted_vertices & gadget:
-                        raise RuntimeError("part solution deletes a gadget vertex")
                     if not sol.deleted_vertices <= part.vertices:
                         raise RuntimeError("part solution deletes outside the part")
                     w_i |= sol.deleted_vertices

@@ -112,16 +112,11 @@ def satisfied_vertices(inst: Instance) -> set[int]:
 
 
 def is_normalized(inst: Instance) -> bool:
+    if not inst.in_degree_window():
+        return False
     g = inst.graph
-    span = inst.k_v + inst.k_e
     sat = satisfied_vertices(inst)
-    for v in g.vertices:
-        if not inst.delta[v] <= g.degree(v) <= inst.delta[v] + span:
-            return False
-    for v in sat:
-        if not any(u not in sat for u in g.neighbors(v)):
-            return False
-    return True
+    return all(any(u not in sat for u in g.neighbors(v)) for v in sat)
 
 
 # -- the six rules, each at its first site in ascending vertex order ----------

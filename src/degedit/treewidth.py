@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 
 from .graph import Graph
 
@@ -46,19 +45,6 @@ class TreeDecomposition:
     @property
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
-
-    @cached_property
-    def _tree_adj(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {}
-        for a, b in self.tree_edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        for nbrs in adj.values():
-            nbrs.sort()
-        return adj
-
-    def neighbors(self, i: int) -> list[int]:
-        return list(self._tree_adj.get(i, ()))
 
 
 @dataclass(frozen=True)
@@ -166,28 +152,6 @@ def decompose(g: Graph) -> TreeDecomposition:
 # -- validation ---------------------------------------------------------------
 
 
-def _is_tree(n_nodes: int, edges: frozenset[tuple[int, int]]) -> bool:
-    if n_nodes == 0:
-        return False
-    if len(edges) != n_nodes - 1:
-        return False
-    adj: dict[int, set[int]] = {i: set() for i in range(n_nodes)}
-    for a, b in edges:
-        if a == b or not (0 <= a < n_nodes and 0 <= b < n_nodes):
-            return False
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n_nodes
-
-
 def validate(g: Graph, td: TreeDecomposition | NiceTreeDecomposition
              ) -> DecompositionVerdict:
     """Check the decomposition conditions; names the first failure."""
@@ -196,9 +160,11 @@ def validate(g: Graph, td: TreeDecomposition | NiceTreeDecomposition
         if not nice_verdict:
             return nice_verdict
         return _validate_nice_forgets(g, td)
-    if not _is_tree(len(td.bags), td.tree_edges):
+    try:
+        ntd = to_nice(td)
+    except ValueError:
         return DecompositionVerdict(False, "tree structure invalid")
-    return _validate_nice_forgets(g, to_nice(td))
+    return _validate_nice_forgets(g, ntd)
 
 
 def _validate_nice_forgets(g: Graph, ntd: NiceTreeDecomposition
@@ -315,6 +281,38 @@ class _NiceBuilder:
                                      tuple(self.children), tuple(self.vertex))
 
 
+def _postorder(td: TreeDecomposition) -> list[tuple[int, list[int]]] | None:
+    """The tree rooted at node 0 in postorder, as (node, ascending children)
+    pairs; None unless ``tree_edges`` form a tree: n - 1 edges within range,
+    no self-loop, every node reached (a reversed duplicate pair leaves one
+    unreached)."""
+    n = len(td.bags)
+    if n == 0 or len(td.tree_edges) != n - 1:
+        return None
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in td.tree_edges:
+        if a == b or not (0 <= a < n and 0 <= b < n):
+            return None
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = [False] * n
+    seen[0] = True
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        kids = []
+        for j in sorted(adj[i]):
+            if not seen[j]:
+                seen[j] = True
+                kids.append(j)
+        order.append((i, kids))
+        stack.extend(kids)
+    if len(order) != n:
+        return None
+    order.reverse()
+    return order
+
+
 def to_nice(td: TreeDecomposition, root_bag: frozenset[int] = frozenset()
             ) -> NiceTreeDecomposition:
     """Convert to nice form, rooted at ``root_bag``.
@@ -324,22 +322,12 @@ def to_nice(td: TreeDecomposition, root_bag: frozenset[int] = frozenset()
     its vertices up to the root.  Rejects input whose tree structure is
     invalid; the conditions against a graph are checked by ``validate``.
     """
-    if not _is_tree(len(td.bags), td.tree_edges):
+    order = _postorder(td)
+    if order is None:
         raise ValueError("invalid decomposition: tree structure invalid")
-
     b = _NiceBuilder()
-    root = 0
-    order: list[tuple[int, int | None]] = []
-    stack = [(root, None)]
-    while stack:  # postorder over the decomposition tree
-        i, parent = stack.pop()
-        order.append((i, parent))
-        for j in td.neighbors(i):
-            if j != parent:
-                stack.append((j, i))
     done: dict[int, int] = {}
-    for i, parent in reversed(order):
-        kids = [j for j in td.neighbors(i) if j != parent]
+    for i, kids in order:
         bag = td.bags[i]
         if not kids:
             done[i] = b.leaf_chain(bag)
@@ -349,5 +337,5 @@ def to_nice(td: TreeDecomposition, root_bag: frozenset[int] = frozenset()
         for arm in arms[1:]:
             node = b.add(JOIN, bag, (node, arm))
         done[i] = node
-    b.chain(done[root], td.bags[root], root_bag)
+    b.chain(done[0], td.bags[0], root_bag)
     return b.build()

@@ -4,8 +4,10 @@ straightforward scans they replaced, kept here as reference copies."""
 import importlib.util
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from degedit.dpsolve import _bits, _entry_less, _prepare, _set_less, active_region
@@ -16,7 +18,7 @@ from degedit.io import parse_instance
 from degedit.treewidth import (FORGET, INTRODUCE, JOIN, LEAF,
                                DecompositionVerdict, NiceTreeDecomposition,
                                TreeDecomposition, _adj_dict, _eliminate,
-                               _is_tree, _min_degree_elimination, decompose,
+                               _min_degree_elimination, decompose,
                                to_nice, validate)
 
 from conftest import random_corpus
@@ -195,6 +197,30 @@ def _nice_shape_scan(ntd):
     return DecompositionVerdict(True)
 
 
+def _is_tree(n_nodes, edges):
+    """The tree check ``to_nice`` made before it rooted its tree in the same
+    pass, kept as the reference."""
+    if n_nodes == 0:
+        return False
+    if len(edges) != n_nodes - 1:
+        return False
+    adj = {i: set() for i in range(n_nodes)}
+    for a, b in edges:
+        if a == b or not (0 <= a < n_nodes and 0 <= b < n_nodes):
+            return False
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == n_nodes
+
+
 def _validate_scan(g, td):
     if isinstance(td, NiceTreeDecomposition):
         nice_verdict = _nice_shape_scan(td)
@@ -258,13 +284,30 @@ def _corrupt_bags(bags, g, rng):
 
 
 def _corrupt_edges(edges, n_bags, rng):
-    edges = set(edges)
+    """Corrupted copies of tree edges: one with an edge dropped, a pair added
+    or both; then three that keep the edge count, with one edge replaced by
+    the reverse of another, by a self-loop and by a pair that reaches one
+    node past the last."""
+    tree = frozenset(edges)
+    edges = set(tree)
     if edges and rng.random() < 0.5:
         edges.discard(rng.choice(sorted(edges)))
     if n_bags > 1:
         a, b = rng.sample(range(n_bags), 2)
         edges.add((min(a, b), max(a, b)))
-    return frozenset(edges)
+    out = [frozenset(edges)]
+    for fault in range(3) if tree else ():
+        edges = set(tree)
+        edges.discard(rng.choice(sorted(tree)))
+        a = rng.randrange(n_bags)
+        if fault == 0 and edges:
+            edges.add(rng.choice(sorted(edges))[::-1])
+        elif fault == 1:
+            edges.add((a, a))
+        elif fault == 2:
+            edges.add((a, n_bags))
+        out.append(frozenset(edges))
+    return out
 
 
 def _corrupt_vertex(ntd, g, rng):
@@ -282,14 +325,17 @@ def _corrupt_vertex(ntd, g, rng):
 def test_validate_verdicts_match_scan_on_corruptions():
     rng = random.Random(9090)
     reasons = set()
+    faults = Counter()
     for trial in range(300):
         g = random_planar_graph(rng.randint(1, 25), rng)
         td = decompose(g)
         ntd = to_nice(td)
+        n = len(td.bags)
+        corrupt = [TreeDecomposition(td.bags, edges)
+                   for edges in _corrupt_edges(td.tree_edges, n, rng)]
         cases = [td, ntd,
                  TreeDecomposition(_corrupt_bags(td.bags, g, rng), td.tree_edges),
-                 TreeDecomposition(td.bags, _corrupt_edges(
-                     td.tree_edges, len(td.bags), rng)),
+                 *corrupt,
                  NiceTreeDecomposition(ntd.kinds, _corrupt_bags(ntd.bags, g, rng),
                                        ntd.children, ntd.vertex),
                  NiceTreeDecomposition(ntd.kinds, ntd.bags, ntd.children,
@@ -298,9 +344,19 @@ def test_validate_verdicts_match_scan_on_corruptions():
             got, want = validate(g, case), _validate_scan(g, case)
             assert (got.ok, got.reason) == (want.ok, want.reason)
             reasons.add(got.reason.split(":")[0])
-    # the corruptions reach every condition
+        for case in corrupt:
+            edges = case.tree_edges
+            if not _is_tree(n, edges):
+                with pytest.raises(ValueError):
+                    to_nice(case)
+            faults["reversed pair"] += any((b, a) in edges for a, b in edges
+                                           if a != b)
+            faults["self-loop"] += any(a == b for a, b in edges)
+            faults["out of range"] += any(b >= n for _, b in edges)
+    # the corruptions reach every condition, and each edge fault
     assert {"", "tree structure invalid", "condition (i) failed",
             "condition (ii) failed", "condition (iii) failed"} <= reasons
+    assert min(faults.values()) >= 20, faults
 
 
 def _split_vertex(td, rng):

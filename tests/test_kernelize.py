@@ -282,7 +282,7 @@ def test_configs_single_boundary_count_bound():
     configs = enumerate_configs(part, inst)
     assert configs == [BoundaryConfig(frozenset(), frozenset()),
                        BoundaryConfig(frozenset({1}), frozenset())]
-    sub, _ = build_boundary_instance(configs[0], part, inst)
+    sub = build_boundary_instance(configs[0], part, inst)
     ps = PreparedSolve(sub, _patched_ntd(part.cert, frozenset(), frozenset({1})),
                        check=False)
     # 1 has degree 1 in the part, so its loss, deg - target, is 0 or 1
@@ -314,8 +314,8 @@ def test_boundary_instance_prices_out_survivors():
     part = _part_for(inst, [2, 3])
     assert part.boundary == {1, 4}
     cfg = BoundaryConfig(frozenset(), frozenset({(1, 4)}), None)
-    sub, gadget = build_boundary_instance(cfg, part, inst)
-    assert gadget == frozenset()
+    sub = build_boundary_instance(cfg, part, inst)
+    assert sub.graph.vertices == part.closed
     assert not sub.graph.has_edge(1, 4)
     assert sub.weight_v[1] == inst.k_v + 1
     assert sub.weight_v[4] == inst.k_v + 1
@@ -325,37 +325,37 @@ def test_boundary_instance_prices_out_survivors():
     assert sub.delta[2] == inst.delta[2]
 
 
-def test_boundary_instance_gadget_structure():
+def test_boundary_instance_join_edge_structure():
+    # the C4 edge 1-4 lies among the kept boundary, so it is left out, and
+    # the block (1, 4) puts it back as an undeletable, free join edge
     inst = cycle_instance(4, 1, k_v=1, k_e=2, cost_budget=2,
                           variant=CONNECTED)
     part = _part_for(inst, [2, 3])
     cfg = BoundaryConfig(frozenset(), frozenset({(1, 4)}), ((1, 4),))
-    sub, gadget = build_boundary_instance(cfg, part, inst)
-    assert len(gadget) == 1
-    z = next(iter(gadget))
-    assert sub.graph.neighbors(z) == {1, 4}
-    assert sub.delta[z] == 2
+    sub = build_boundary_instance(cfg, part, inst)
+    assert sub.graph.vertices == part.closed
+    assert sub.graph.edge_set() == {(1, 2), (2, 3), (3, 4), (1, 4)}
+    assert sub.weight_e[1, 4] == inst.k_e + 1
+    assert sub.cost_e[1, 4] == 0
     assert sub.delta[1] == sub.delta[4] == 0
-    assert sub.weight_v[z] == inst.k_v + 1
-    assert sub.cost_v[z] == 0
-    for u in (1, 4):
-        e = tuple(sorted((z, u)))
-        assert sub.weight_e[e] == inst.k_e + 1
-        assert sub.cost_e[e] == 0
-    # one-vertex blocks get no gadget
+    for e in ((1, 2), (2, 3), (3, 4)):
+        assert (sub.weight_e[e], sub.cost_e[e]) == (inst.weight_e[e],
+                                                   inst.cost_e[e])
+    # one-vertex blocks add nothing
     cfg = BoundaryConfig(frozenset(), frozenset({(1, 4)}), ((1,), (4,)))
-    sub, gadget = build_boundary_instance(cfg, part, inst)
-    assert gadget == frozenset() and sub.graph.vertices == {1, 2, 3, 4}
+    sub = build_boundary_instance(cfg, part, inst)
+    assert sub.graph.vertices == part.closed
+    assert sub.graph.edge_set() == {(1, 2), (2, 3), (3, 4)}
 
 
-def test_boundary_instance_full_removal_drops_gadget():
+def test_boundary_instance_full_removal_adds_no_join():
     inst = cycle_instance(4, 1, k_v=2, k_e=2, cost_budget=4,
                           variant=CONNECTED)
     part = _part_for(inst, [2, 3])
     cfg = BoundaryConfig(frozenset({1, 4}), frozenset(), ())
-    sub, gadget = build_boundary_instance(cfg, part, inst)
-    assert gadget == frozenset()
+    sub = build_boundary_instance(cfg, part, inst)
     assert sub.graph.vertices == {2, 3}
+    assert sub.graph.edge_set() == {(2, 3)}
 
 
 def test_configs_pair_gadget_off_an_edge_is_tested():
@@ -373,7 +373,7 @@ def test_configs_pair_gadget_off_an_edge_is_tested():
     assert covers == {((1,), (4,))}
     cfg = BoundaryConfig(frozenset(), frozenset(), ((1,), (4,)))
     assert cfg in configs
-    assert is_planar(build_boundary_instance(cfg, part, inst)[0].graph)
+    assert is_planar(build_boundary_instance(cfg, part, inst).graph)
 
 
 def test_configs_leave_out_a_nonplanar_pair_gadget():
@@ -491,10 +491,10 @@ def test_root_groups_match_per_target_runs():
         assert_classes_onto(configs, part, inst)
         by_class = {}
         for cfg in configs:
-            sub, gadget = build_boundary_instance(cfg, part, inst)
-            top = (part.boundary - cfg.removed_vertices) | gadget
-            table = PreparedSolve(sub, _patched_ntd(
-                part.cert, cfg.removed_vertices, top), check=False)
+            top = part.boundary - cfg.removed_vertices
+            table = PreparedSolve(build_boundary_instance(cfg, part, inst),
+                                  _patched_ntd(part.cert, cfg.removed_vertices,
+                                               top), check=False)
             width = len(part.boundary - cfg.removed_vertices)
             by_class[cfg] = _solutions_by_group(table, width, inst)
         for shape in ref_shapes(part, inst):
