@@ -18,11 +18,10 @@ never enumerated: one planarity test per part decides them all.
 The fifteen reduction rules are handlers on the rewrite state that
 normalization also runs on (``normalize.KernelState``): each changes the
 instance through ``commit`` (with one edit from ``degedit.instance``, or a
-short chain of them), decides it through ``decide``, or does not apply, and
-every step is logged with before/after instance snapshots so suites can
-replay single steps against the oracle.  The rules run in the phases of
-``PLAIN_PHASES`` and ``CONNECTED_PHASES``, each phase one ``KernelState.run``
-over its rules, the same loop normalization uses.  Oversized part
+short chain of them), decides it through ``decide``, or does not apply; the
+log keeps each step's rule, site and decision, never an instance.  The rules
+run in the phases of ``PLAIN_PHASES`` and ``CONNECTED_PHASES``, each phase
+one ``KernelState.run`` over its rules, as in normalization.  Oversized part
 boundaries fall back to taking the whole part as candidates: that costs
 only the size guarantee (the ``certified`` flag), never equivalence.
 """
@@ -588,9 +587,8 @@ def kernelize(inst: Instance, *, domset=None) -> KernelResult:
     decomposition; the default is the greedy one.
     """
     out = normalize(inst)
-    events = list(out.log)
     if out.kind != NORMALIZED:
-        return KernelResult(out.kind, None, tuple(events), certified=True)
+        return KernelResult(out.kind, None, out.log, certified=True)
     norm = out.instance
     cap = alpha_cap_for(norm.variant)
     dom = None if domset is None else frozenset(domset) & norm.graph.vertices
@@ -602,13 +600,12 @@ def kernelize(inst: Instance, *, domset=None) -> KernelResult:
         state = reduce_dcpggd(norm, cs)
     else:
         state = reduce_dpggd(norm, cs)
-    events.extend(state.events)
+    log = out.log + tuple(state.events)
     certified = pd.certified and not cs.skipped
     if state.decided:
-        return KernelResult(state.decided, None, tuple(events), certified,
-                            cs, norm)
+        return KernelResult(state.decided, None, log, certified, cs, norm)
     return KernelResult(
-        KERNEL, state.inst, tuple(events), certified, cs, norm,
+        KERNEL, state.inst, log, certified, cs, norm,
         final_w=frozenset(state.w), final_l=frozenset(state.l),
         final_s=frozenset(state.satisfied()))
 

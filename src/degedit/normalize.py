@@ -15,8 +15,9 @@ safe rewrite rules (decide-yes, forced vertex deletion, contraction of
 satisfied clusters, isolate removal, plus the connected variants of the
 decision rules), four per variant in the order of ``_RULE_ORDER``, through
 ``KernelState.run`` until none applies; each rule either decides the
-instance or removes exactly one vertex, so the process terminates.  A
-yes-decision's witness is read back from the event log.
+instance or removes exactly one vertex, so the process terminates.  The
+log holds steps, not instances, and a yes-decision's witness is read back
+from it and the instance decided on.
 """
 
 from __future__ import annotations
@@ -45,12 +46,13 @@ NORMALIZED = "normalized"
 
 @dataclass(frozen=True)
 class RuleEvent:
-    """One rewrite step: an instance transition or a decision."""
+    """One rewrite step, never an instance: the rule, its site, and the
+    decision or the id a ``contraction`` mints (kernel rules put theirs in
+    the site)."""
     rule: str
     site: tuple
-    before: Instance
-    after: Instance | None
     decided: str | None = None
+    minted: int | None = None
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,9 @@ class KernelState:
     def __post_init__(self):
         self.next_id = max(self.inst.graph.vertices, default=0) + 1
 
-    def commit(self, rule: str, site: tuple, inst: Instance) -> str:
+    def commit(self, rule: str, site: tuple, inst: Instance, minted=None) -> str:
         """Make ``inst`` the current instance, keep W and L inside it, log."""
-        self.events.append(RuleEvent(rule, site, self.inst, inst))
+        self.events.append(RuleEvent(rule, site, minted=minted))
         self.inst = inst
         g = inst.graph
         self.w = {v for v in self.w if g.has_vertex(v)}
@@ -84,7 +86,7 @@ class KernelState:
         return CHANGED
 
     def decide(self, rule: str, site: tuple, verdict: str) -> str:
-        self.events.append(RuleEvent(rule, site, self.inst, None, verdict))
+        self.events.append(RuleEvent(rule, site, verdict))
         self.decided = verdict
         return verdict
 
@@ -158,9 +160,9 @@ def _rule_contraction(state: KernelState) -> str:
             # whole neighbourhood becomes undeletable; every common
             # neighbour is satisfied and loses one degree
             u = min(g.neighbors(v))
+            z = max(g.vertices) + 1
             return state.commit(CONTRACTION, (u, v), contract(
-                inst, u, v, max(g.vertices) + 1, slack=0, rigid=False,
-                inherit=False))
+                inst, u, v, z, slack=0, rigid=False, inherit=False), z)
     return NOT_APPLICABLE
 
 
@@ -218,8 +220,9 @@ def apply_rule(state: KernelState, rule: str) -> str:
     return _RULE_HANDLERS[rule](state)
 
 
-def _lift_witness(log: tuple[RuleEvent, ...]) -> frozenset[int]:
-    """The vertices a yes-decided log deletes, in its first instance's ids.
+def _lift_witness(log: tuple[RuleEvent, ...], last: Instance) -> frozenset[int]:
+    """The vertices a yes-decided log deletes, in its first instance's ids;
+    ``last`` is the instance the decision was taken on.
 
     Read newest event first, so every id means the vertex it named at that
     step: a connected isolate decision deletes all but its site, a charged
@@ -229,12 +232,11 @@ def _lift_witness(log: tuple[RuleEvent, ...]) -> frozenset[int]:
     decision = log[-1]
     out = set()
     if decision.rule == ISOLATES_REMOVAL_CONNECTED:
-        out = set(decision.before.graph.vertices) - set(decision.site)
+        out = set(last.graph.vertices) - set(decision.site)
     for ev in reversed(log[:-1]):
         if ev.rule == CONTRACTION:
-            (z,) = ev.after.graph.vertices - ev.before.graph.vertices
-            if z in out:
-                out.remove(z)
+            if ev.minted in out:
+                out.remove(ev.minted)
                 out.update(ev.site)
         elif ev.rule in (VERTEX_DELETION, ISOLATES_REMOVAL_CONNECTED):
             out.add(ev.site[0])
@@ -254,6 +256,6 @@ def normalize(inst: Instance) -> NormalizeOutcome:
     if state.decided is None:
         return NormalizeOutcome(NORMALIZED, instance=state.inst, log=log)
     if state.decided == DECIDED_YES:
-        return NormalizeOutcome(
-            DECIDED_YES, witness=Solution.of(inst, _lift_witness(log)), log=log)
+        witness = Solution.of(inst, _lift_witness(log, state.inst))
+        return NormalizeOutcome(DECIDED_YES, witness=witness, log=log)
     return NormalizeOutcome(DECIDED_NO, log=log)

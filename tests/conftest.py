@@ -1,11 +1,68 @@
 import random
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import pytest
 
 from degedit.generator import generate_random_planar_instance
 from degedit.graph import Graph
 from degedit.instance import CONNECTED, PLAIN, Instance
+from degedit.normalize import KernelState
 from degedit.oracle import DEFAULT_EDGE_CAP, DEFAULT_VERTEX_CAP
+
+
+@dataclass(frozen=True)
+class Step:
+    """A logged rule step with the instances it went between; ``after`` is
+    None for a decision."""
+    rule: str
+    site: tuple
+    decided: str | None
+    minted: int | None
+    before: Instance
+    after: Instance | None
+
+
+@contextmanager
+def recording():
+    """Patch ``KernelState.commit`` and ``decide`` to keep, for every step
+    they log, the instance before it and the one after; yields the list of
+    ``Step``s in the order they were logged."""
+    steps = []
+    commit, decide = KernelState.commit, KernelState.decide
+
+    def record(state, before, after):
+        ev = state.events[-1]
+        steps.append(Step(ev.rule, ev.site, ev.decided, ev.minted, before, after))
+
+    def recording_commit(self, rule, site, inst, minted=None):
+        before = self.inst
+        out = commit(self, rule, site, inst, minted)
+        record(self, before, inst)
+        return out
+
+    def recording_decide(self, rule, site, verdict):
+        before = self.inst
+        out = decide(self, rule, site, verdict)
+        record(self, before, None)
+        return out
+
+    KernelState.commit, KernelState.decide = recording_commit, recording_decide
+    try:
+        yield steps
+    finally:
+        KernelState.commit, KernelState.decide = commit, decide
+
+
+def recorded(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` (``normalize``, ``kernelize``, ...) under
+    ``recording``: its result and one ``Step`` per event of the result's
+    log, paired by position."""
+    with recording() as steps:
+        out = run(*args, **kwargs)
+    assert [(s.rule, s.site, s.decided, s.minted) for s in steps] == \
+        [(ev.rule, ev.site, ev.decided, ev.minted) for ev in out.log]
+    return out, steps
 
 
 def random_corpus(count, base_seed, n_lo=1, n_hi=9, k_sum_max=3, raw=False,

@@ -3,9 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Corpora are seeded and shared module-wide: suite 1 holds at least 500
 solvable-window instances per variant within the oracle caps; suite 2
-kernelizes the same corpus.  Rule-level checks pool one-step rewrite events
-from those runs plus shaped families for the rules random instances rarely
-reach.
+kernelizes the same corpus.  Rule-level checks pool one-step rewrite steps,
+with the instances ``conftest.recording`` keeps for them, from those runs
+plus shaped families for the rules random instances rarely reach.
 """
 
 import random
@@ -26,6 +26,7 @@ from degedit.normalize import (DECIDED_NO, DECIDED_YES, NORMALIZE_RULES,
 from degedit.oracle import brute_force_min_cost
 
 import forges
+from conftest import recorded
 
 PER_VARIANT = 500
 RULE_SAMPLES = 200
@@ -68,7 +69,8 @@ def oracle_reports(suite1):
 
 @pytest.fixture(scope="module")
 def kernel_runs(suite1):
-    return [(inst, kernelize(inst)) for inst in suite1]
+    """(instance, result, recorded steps of the result's log) per instance."""
+    return [(inst, *recorded(kernelize, inst)) for inst in suite1]
 
 
 def _event_safe(ev):
@@ -90,8 +92,8 @@ def rule_events(kernel_runs):
             if len(pool[ev.rule]) < RULE_SAMPLES:
                 pool[ev.rule].append(ev)
 
-    for _, res in kernel_runs:
-        harvest(res.log)
+    for _, _, steps in kernel_runs:
+        harvest(steps)
     all_rules = list(NORMALIZE_RULES) + list(KERNEL_RULES)
 
     def unfilled():
@@ -103,7 +105,7 @@ def rule_events(kernel_runs):
             break
         for _, fn in forges.FAMILIES:
             inst, dom = fn(seed)
-            harvest(kernelize(inst, domset=dom).log)
+            harvest(recorded(kernelize, inst, domset=dom)[1])
     # top-up from extra random corpora, raw targets exercise normalization
     rng = random.Random(SEED + 77)
     attempt = 0
@@ -116,10 +118,7 @@ def rule_events(kernel_runs):
         attempt += 1
         if inst.graph.n > 12 or inst.graph.m > 18:
             continue
-        if raw:
-            harvest(normalize(inst).log)
-        else:
-            harvest(kernelize(inst).log)
+        harvest(recorded(normalize if raw else kernelize, inst)[1])
     return pool
 
 
@@ -144,7 +143,7 @@ def test_criterion_1_dp_matches_oracle(suite1, oracle_reports):
 def test_criterion_2_kernel_equivalence(suite1, oracle_reports, kernel_runs):
     t0 = time.time()
     bad = []
-    for (inst, res), rep in zip(kernel_runs, oracle_reports):
+    for (inst, res, _), rep in zip(kernel_runs, oracle_reports):
         if res.kind == DECIDED_YES:
             after = True
         elif res.kind == DECIDED_NO:
@@ -163,7 +162,7 @@ def test_criterion_2_kernel_equivalence(suite1, oracle_reports, kernel_runs):
 def test_criterion_3_candidate_sets_cover_an_optimum(kernel_runs):
     checked = 0
     bad = []
-    for inst, res in kernel_runs:
+    for inst, res, _ in kernel_runs:
         if res.candidates is None or res.normalized is None:
             continue
         rep = brute_force_min_cost(res.normalized)
@@ -238,7 +237,7 @@ def test_criterion_6_solution_footprint_dominates(suite1):
 def test_criterion_7_size_bounds_on_certified_runs(kernel_runs):
     checked = 0
     bad = []
-    for inst, res in kernel_runs:
+    for inst, res, _ in kernel_runs:
         if res.kind != KERNEL or not res.certified:
             continue
         report = size_bound_report(res)
@@ -254,8 +253,8 @@ def test_criterion_7_size_bounds_on_certified_runs(kernel_runs):
 def test_criterion_8_planarity_everywhere(kernel_runs):
     examined = 0
     bad = 0
-    for inst, res in kernel_runs:
-        for ev in res.log:
+    for inst, res, steps in kernel_runs:
+        for ev in steps:
             if ev.after is not None:
                 examined += 1
                 if not is_planar(ev.after.graph):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -96,6 +97,28 @@ def test_kernelize_verify_round(tmp_path, capsys):
         assert trace_f.exists()
     else:
         assert out.startswith("k decided")
+
+
+RUNTIME_DATA = Path(__file__).parent / "data" / "runtime"
+
+
+@pytest.mark.parametrize("name,gen", [
+    ("", ["--n", "10", "--seed", "9"]),
+    ("edge-", ["--n", "10", "--seed", "3"]),
+    ("conn-", ["--n", "12", "--variant", "connected", "--seed", "33"]),
+    ("yes-", ["--n", "10", "--seed", "18"]),
+])
+def test_runtime_job_kernels_and_traces_are_pinned(name, gen, tmp_path, capsys):
+    # the generated instances of the CI runtime job, whose kernel and trace
+    # files it compares with the same checked-in bytes
+    src, kernel, trace = (tmp_path / f for f in ("in.deg", "k.deg", "t.txt"))
+    assert main(["gen", "--kv", "2", "--ke", "1", "--cost-budget", "6",
+                 "--output", str(src)] + gen) == 0
+    assert main(["kernelize", "--input", str(src), "--output", str(kernel),
+                 "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert kernel.read_bytes() == (RUNTIME_DATA / f"{name}kernel.deg").read_bytes()
+    assert trace.read_bytes() == (RUNTIME_DATA / f"{name}trace.txt").read_bytes()
 
 
 def test_unwritable_output_paths_are_input_errors(tmp_path, capsys):

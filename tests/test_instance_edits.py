@@ -18,7 +18,7 @@ from degedit.kernelize import kernelize
 from degedit.normalize import CONTRACTION, normalize, satisfied_vertices
 
 import forges
-from conftest import random_corpus
+from conftest import random_corpus, recorded
 
 # -- reference copies ----------------------------------------------------------
 
@@ -295,7 +295,7 @@ def test_normalize_contraction_matches_reference_at_every_site():
     sites = with_common = 0
     for inst in (random_corpus(300, 46_000, n_hi=12, raw=True)
                  + random_corpus(300, 47_000, n_hi=12)):
-        for ev in normalize(inst).log:
+        for ev in recorded(normalize, inst)[1]:
             if ev.rule != CONTRACTION:
                 continue
             u, v = ev.site
@@ -313,7 +313,7 @@ def test_s_contraction_1_matches_reference_at_every_site():
     runs = [forges.forge_s_contraction_1(seed) for seed in range(20)]
     runs += [(inst, None) for inst in random_corpus(200, 48_000, n_hi=12)]
     for inst, dom in runs:
-        for ev in kernelize(inst, domset=dom).log:
+        for ev in recorded(kernelize, inst, domset=dom)[1]:
             if ev.rule != "s-contraction-1" or ev.decided:
                 continue
             a, b, z = ev.site

@@ -1,6 +1,6 @@
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations, islice
 
 import pytest
@@ -25,7 +25,8 @@ from degedit.protrusion import (Part, ProtrusionDecomposition,
 from degedit.treewidth import TreeDecomposition, decompose, to_nice
 
 import forges
-from conftest import cycle_instance, make_instance, random_corpus
+from conftest import (cycle_instance, make_instance, planted_yes,
+                      random_corpus, recorded)
 
 
 def _part_for(inst, vertices):
@@ -653,8 +654,8 @@ def test_reduce_noop_when_everything_is_candidate():
 
 def test_twin_rule_outcomes():
     inst, dom = forges.forge_twin_pair(3, PLAIN)
-    res = kernelize(inst, domset=dom)
-    twin_events = [e for e in res.log if e.rule == "twin-reduction"]
+    _, steps = recorded(kernelize, inst, domset=dom)
+    twin_events = [e for e in steps if e.rule == "twin-reduction"]
     assert twin_events
     ev = twin_events[0]
     assert ev.after.graph.n == ev.before.graph.n - 1
@@ -750,3 +751,11 @@ def test_trace_format():
     text = format_trace(res.log)
     assert all(line.startswith("rule ") for line in text.splitlines())
     assert "twin-reduction" in text
+
+
+@pytest.mark.parametrize("variant", [PLAIN, CONNECTED])
+def test_the_rule_log_keeps_no_instance(variant):
+    res = kernelize(planted_yes(150, 2, 2, variant, 7))
+    assert len(res.log) > 100
+    assert not [(ev, f.name) for ev in res.log for f in fields(ev)
+                if isinstance(getattr(ev, f.name), Instance)]

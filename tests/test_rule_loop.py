@@ -4,8 +4,9 @@ The three loops it replaced (normalize's own loop, ``_exhaust`` and
 ``_exhaust_then``) are kept here as references, and the rules' edits are
 routed through the reference edits of ``test_instance_edits`` composed the
 way the rules once composed them.  Every run is compared event by event:
-rule, site and decision, ``write_instance`` of each before and after
-instance, and every iteration order they expose.
+rule, site, decision and minted id, ``write_instance`` of each before and
+after instance (kept by ``conftest.recording``), and every iteration order
+they expose.
 """
 
 from degedit import kernelize as kz
@@ -18,7 +19,7 @@ from degedit.normalize import (CHANGED, DECIDED_YES, NORMALIZE_RULES,
                                NormalizeOutcome, apply_rule)
 
 import forges
-from conftest import path_instance, random_corpus
+from conftest import path_instance, random_corpus, recorded
 from test_instance_edits import (layout, ref_add_undeletable_pendant,
                                  ref_contract_slack, ref_delete_edges,
                                  ref_delete_vertices, ref_with_delta)
@@ -43,7 +44,7 @@ def ref_normalize(inst):
     log = tuple(state.events)
     if state.decided == DECIDED_YES:
         return NormalizeOutcome(DECIDED_YES, log=log, witness=Solution.of(
-            inst, nz._lift_witness(log)))
+            inst, nz._lift_witness(log, state.inst)))
     return NormalizeOutcome(state.decided, log=log)
 
 
@@ -111,9 +112,9 @@ def _record(inst, dom):
     # kernelize's log starts with normalize's, so only the witness of a
     # decided normalization is read from normalize itself
     out = kz.normalize(inst)
-    res = kernelize(inst, domset=dom)
-    events = [(ev.rule, ev.site, ev.decided, _shape(ev.before), _shape(ev.after))
-              for ev in res.log]
+    res, steps = recorded(kernelize, inst, domset=dom)
+    events = [(ev.rule, ev.site, ev.decided, ev.minted, _shape(ev.before),
+               _shape(ev.after)) for ev in steps]
     sets = [None if s is None else list(s)
             for s in (res.final_w, res.final_l, res.final_s)]
     return (out.witness, res.kind, res.certified, format_trace(res.log), events,
