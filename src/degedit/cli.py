@@ -71,14 +71,16 @@ def _solve_with(inst, method: str, width_cap: int) -> Solution | None:
         return solve_auto(inst, ntd)
     if method == "brute":
         return brute_force_min_cost(inst).best()
-    # auto: enumeration on an active region the oracle fits, else the
+    # auto: enumeration on an active region whose candidate pairs fit the
+    # optima cap, at any size, so its report is never cut short; else the
     # dynamic program on the region while its decomposition stays narrow,
     # then on the whole graph, whose heuristic width may differ
     target = active_region(inst)
     if target is None:
         return None
     if fits_oracle(target):
-        rep = brute_force_min_cost(target)
+        rep = brute_force_min_cost(target, vertex_cap=target.graph.n,
+                                   edge_cap=target.graph.m)
         if rep.truncated:
             raise RuntimeError("a region that fits the oracle gave a "
                                "truncated report")

@@ -83,6 +83,13 @@ def random_corpus(count, base_seed, n_lo=1, n_hi=9, k_sum_max=3, raw=False,
     return out
 
 
+# Draws of a deletion pair before ``planted_yes`` gives up.  Every call in
+# the tests returns on its first draw; over n = 3..12, seven budget pairs
+# up to 3 and seeds 0..5, a call that returns within 2,000 draws needs at
+# most 55.  On some triangles and K4s no draw leaves the survivor connected.
+PLANTED_DRAWS = 1_000
+
+
 def planted_yes(n, k_v, k_e, variant, seed):
     """Yes-instance on a stacked triangulation of n >= 3 vertices (treewidth
     at most 3), the plain variant on a random 70% of its edges: a random
@@ -90,7 +97,8 @@ def planted_yes(n, k_v, k_e, variant, seed):
     connected variant) is planted, survivors get their degree after it as
     target, deleted vertices an arbitrary one, and the cost budget is the
     pair's cost.  ``_planted`` in test_dpsolve.py, at given size and
-    budgets and without its nudged targets."""
+    budgets and without its nudged targets.  Raises ValueError when no
+    draw of ``PLANTED_DRAWS`` leaves a connected survivor."""
     rng = random.Random(seed)
     vertices = range(1, n + 1)
     faces, edges = [(1, 2, 3)], {(1, 2), (1, 3), (2, 3)}
@@ -103,12 +111,16 @@ def planted_yes(n, k_v, k_e, variant, seed):
         edges = [e for e in edges if rng.random() < 0.7]
     weight_v = {v: rng.choice((1, 1, 2)) for v in vertices}
     weight_e = {e: rng.choice((1, 1, 2)) for e in edges}
-    while True:
+    for _ in range(PLANTED_DRAWS):
         gone = pick_within(vertices, weight_v, k_v, rng)
         live = [e for e in edges if not gone & set(e)]
         kept = sorted(set(live) - pick_within(live, weight_e, k_e, rng))
         if variant == PLAIN or Graph(set(vertices) - gone, kept).is_connected():
             break
+    else:
+        raise ValueError(
+            f"planted_yes({n}, {k_v}, {k_e}, {variant!r}, {seed}): no draw "
+            f"of {PLANTED_DRAWS} leaves the survivor connected")
     deg = {v: 0 for v in vertices}
     for a, b in kept:
         deg[a] += 1

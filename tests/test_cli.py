@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -213,25 +214,33 @@ def test_gen_rejects_negative_budgets(capsys):
 
 
 def test_capacity_exit_code(tmp_path, capsys):
-    # a wide grid defeats the solver caps: width above the cap and too big
-    # for brute force
+    # a wide grid defeats the solver caps: width above the cap, too big for
+    # brute force, and at k_v = k_e = 2 over the enumeration's pair bound
+    # (1 + 144 + C(144, 2) vertex sets, times C(4, 2) edge sets)
     rows = cols = 12
-    lines = [f"p degedit {rows * cols} {2 * rows * cols - rows - cols} 1 1 2 0"]
-    for v in range(1, rows * cols + 1):
-        lines.append(f"v {v} 2 1 0")
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c + 1
-            if c + 1 < cols:
-                lines.append(f"e {v} {v + 1} 1 0")
-            if r + 1 < rows:
-                lines.append(f"e {v} {v + cols} 1 0")
-    f = tmp_path / "grid.deg"
-    f.write_text("\n".join(lines) + "\n")
-    code, _, err = run_cli(["solve", "--input", str(f), "--width-cap", "3"],
-                           capsys)
+
+    def grid(k_v, k_e):
+        lines = [f"p degedit {rows * cols} {2 * rows * cols - rows - cols} "
+                 f"{k_v} {k_e} 2 0"]
+        for v in range(1, rows * cols + 1):
+            lines.append(f"v {v} 2 1 0")
+        for r in range(rows):
+            for c in range(cols):
+                v = r * cols + c + 1
+                if c + 1 < cols:
+                    lines.append(f"e {v} {v + 1} 1 0")
+                if r + 1 < rows:
+                    lines.append(f"e {v} {v + cols} 1 0")
+        f = tmp_path / f"grid-{k_v}-{k_e}.deg"
+        f.write_text("\n".join(lines) + "\n")
+        return run_cli(["solve", "--input", str(f), "--width-cap", "3"], capsys)
+
+    code, _, err = grid(2, 2)
     assert code == 2
     assert "capacity" in err
+    # at k_v = k_e = 1 the 145 vertex sets fit the bound, and no single
+    # deletion brings 100 inner vertices from degree 4 to 2
+    assert grid(1, 1) == (0, "s no\n", "")
 
 
 def test_alpha_cap_defaults():
@@ -263,42 +272,43 @@ def test_solve_dp_validates_once(tmp_path, capsys, monkeypatch):
 
 def _auto_path(inst):
     """How ``solve --method auto`` must answer inst, by the rule written out
-    here: "no" when the active region alone says no; "fits" when the region
-    has at most 12 vertices, 18 edges and 10,000 candidate pairs (|U| at
-    most k_v, |D| at most k_e), which are enumerated; otherwise the DP, for
-    the first bound the region is over."""
+    here: "no" when the active region alone says no; "fits" when the
+    region has at most 10,000 candidate pairs, which are enumerated at any
+    size: the sets U of at most k_v vertices of weight at most k_v, times
+    the most sets D of s <= k_e edges among the at most 2s vertices of
+    positive excess; otherwise "pairs", and the DP answers."""
     region = active_region(inst)
     if region is None:
         return "no"
-    n, m = region.graph.n, region.graph.m
-    pairs = (sum(comb(n, r) for r in range(min(n, region.k_v) + 1))
-             * sum(comb(m, s) for s in range(min(m, region.k_e) + 1)))
-    if m > DEFAULT_EDGE_CAP:
-        return "edges"
-    if n > DEFAULT_VERTEX_CAP:
-        return "vertices"
-    return "pairs" if pairs > DEFAULT_OPTIMA_CAP else "fits"
+    d = sum(w <= region.k_v for w in region.weight_v.values())
+    m = region.graph.m
+    units = sum(comb(d, r) for r in range(min(d, region.k_v) + 1))
+    picks = max([1] + [comb(min(m, comb(2 * s, 2)), s)
+                       for s in range(1, region.k_e + 1)])
+    return "fits" if units * picks <= DEFAULT_OPTIMA_CAP else "pairs"
 
 
 def test_solve_auto_and_dp_print_the_same_bytes(tmp_path, capsys, monkeypatch):
-    # auto enumerates an active region that fits the oracle and runs the DP
-    # on any other, dp runs the DP on the whole graph, brute enumerates the
-    # whole graph; at width cap 1 auto falls back to the whole graph or
+    # auto enumerates an active region that fits the pair bound and runs the
+    # DP on any other, dp runs the DP on the whole graph, brute enumerates
+    # the whole graph; at width cap 1 auto falls back to the whole graph or
     # brute force where the region is wider
     calls = []
     for name, method in (("brute_force_min_cost", "oracle"),
                          ("solve_auto", "dp")):
-        def counting(*args, _original=getattr(cli, name), _method=method):
+        def counting(*args, _original=getattr(cli, name), _method=method,
+                     **kwargs):
             calls.append(_method)
-            return _original(*args)
+            return _original(*args, **kwargs)
         monkeypatch.setattr(cli, name, counting)
     planted = [planted_yes(40, 1, 1, PLAIN, 1), planted_yes(40, 1, 1, CONNECTED, 0),
-               planted_yes(40, 2, 2, PLAIN, 0)]
+               planted_yes(40, 2, 2, PLAIN, 0), planted_yes(40, 3, 3, PLAIN, 0),
+               planted_yes(40, 3, 3, CONNECTED, 0)]
     corpus = (random_corpus(20, 62_000, n_hi=12)
               + random_corpus(20, 63_000, n_hi=12, raw=True)
               # budgets up to 6 put some regions over the pair bound
               + random_corpus(20, 64_000, n_lo=9, n_hi=12, k_sum_max=6)
-              # above the oracle's caps, most regions too
+              # above the oracle's size caps, most regions too
               + [generate_random_planar_instance(
                   14 + s, s % 3, (s + 1) % 3, 6, (PLAIN, CONNECTED)[s % 2],
                   seed=65_000 + s) for s in range(12)]
@@ -308,6 +318,9 @@ def test_solve_auto_and_dp_print_the_same_bytes(tmp_path, capsys, monkeypatch):
     for i, inst in enumerate(corpus):
         kind = _auto_path(inst)
         kinds[kind] += 1
+        region = active_region(inst)
+        if kind == "fits" and region.graph.n > DEFAULT_VERTEX_CAP:
+            kinds["fits above 12 vertices"] += 1
         f = tmp_path / f"i{i}.deg"
         f.write_text(write_instance(inst))
         calls.clear()
@@ -319,9 +332,37 @@ def test_solve_auto_and_dp_print_the_same_bytes(tmp_path, capsys, monkeypatch):
         outs += [run_cli(["solve", "--input", str(f)] + extra, capsys)
                  for extra in extras]
         assert len(set(outs)) == 1 and outs[0][0] == 0, inst
-    assert kinds.keys() == {"no", "fits", "vertices", "edges", "pairs"}, kinds
-    # planted n = 40 inputs: two regions fit the oracle, one does not
-    assert [_auto_path(inst) for inst in planted] == ["fits", "fits", "edges"]
+    assert kinds.keys() == {"no", "fits", "pairs", "fits above 12 vertices"}, kinds
+    # planted n = 40 inputs: the first three regions fit the bound, one of
+    # them (17 vertices, 29 edges) above the old 12-vertex / 18-edge caps;
+    # the last two, at k_v = k_e = 3, do not
+    assert [_auto_path(inst) for inst in planted] == \
+        ["fits", "fits", "fits", "pairs", "pairs"]
+    region = active_region(planted[2])
+    assert (region.graph.n, region.graph.m) == (17, 29)
+
+
+def test_solve_auto_prints_the_dps_bytes_on_planted_inputs(tmp_path, capsys):
+    # auto enumerates every region here, up to 39 vertices, and dp runs
+    # the DP on the whole graph, at the optimum cost budget and one below it
+    kinds = Counter()
+    f = tmp_path / "planted.deg"
+    for n in (40, 80, 150, 300):
+        for variant in (PLAIN, CONNECTED):
+            for k_v, k_e in ((1, 1), (2, 2), (3, 1), (1, 3)):
+                inst = planted_yes(n, k_v, k_e, variant, n + 10 * k_v + k_e)
+                opt = cli._solve_with(inst, "dp", DEFAULT_WIDTH_CAP).total_cost
+                for budget in (opt, opt - 1):
+                    if budget < 0:
+                        continue
+                    at = replace(inst, cost_budget=budget)
+                    f.write_text(write_instance(at))
+                    auto, dp = (run_cli(["solve", "--input", str(f)] + extra, capsys)
+                                for extra in ([], ["--method", "dp"]))
+                    assert auto == dp and auto[0] == 0, (n, variant, k_v, k_e, budget)
+                    assert auto[1].startswith("s yes" if budget == opt else "s no")
+                    kinds[_auto_path(at)] += 1
+    assert kinds == {"fits": 62}, kinds
 
 
 def _planted_grid(side, seed):

@@ -8,6 +8,7 @@ Triangulated grids whose every vertex must lose exactly one neighbour are
 no-instances far above oracle size, and kernelize must not call them yes.
 """
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,7 @@ from degedit.instance import CONNECTED, PLAIN
 from degedit.kernelize import KERNEL, kernelize
 from degedit.normalize import DECIDED_YES
 
-from conftest import make_instance, planted_yes
+from conftest import PLANTED_DRAWS, make_instance, planted_yes
 
 BUDGETS = ((1, 1), (2, 2), (3, 1))
 
@@ -75,3 +76,16 @@ def test_all_slack_grid_is_never_a_yes(variant):
     assert result.kind != DECIDED_YES
     if result.kind == KERNEL:
         assert solve_auto(result.instance) is None
+
+
+@pytest.mark.parametrize("args", [
+    (3, 1, 1, CONNECTED, 1), (3, 2, 2, CONNECTED, 3),
+    (4, 2, 2, CONNECTED, 0), (4, 2, 2, CONNECTED, 2)])
+def test_planted_yes_gives_up_when_no_draw_stays_connected(args):
+    # a triangle or a K4 on which no draw leaves the survivor connected:
+    # the generator stops instead of spinning
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"planted_yes\({args[0]}, .*"
+                                         rf"{PLANTED_DRAWS}"):
+        planted_yes(*args)
+    assert time.perf_counter() - start < 1.0

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -8,10 +9,13 @@ from degedit.errors import CapacityError
 from degedit.generator import generate_random_planar_instance
 from degedit.graph import edge_key
 from degedit.instance import CONNECTED, PLAIN, Solution, check_solution, is_efficient
+from degedit.io import write_instance
 from degedit.oracle import (brute_force_min_cost, candidate_pairs,
                             equivalence_check, fits_oracle)
 
-from conftest import cycle_instance, make_instance, path_instance, random_corpus
+import reference_oracle as reference
+from conftest import (cycle_instance, make_instance, path_instance, planted_yes,
+                      random_corpus)
 
 
 def test_triangle_trivial_yes():
@@ -140,40 +144,80 @@ def test_candidate_pairs_bound_the_search():
 
 
 def test_candidate_pairs_by_hand():
-    # the triangle at zero budgets: only the empty pair
+    # the triangle at zero budgets: no vertex of weight <= 0, so only the
+    # empty U, and s = 0 examines the empty D alone: 1 * 1
     triangle = make_instance([1, 2, 3], [(1, 2), (1, 3), (2, 3)], 2)
     assert candidate_pairs(triangle) == 1
-    # C4 with k_e = 2: no vertex set, and 1 + 4 + 6 edge sets of at most 2
-    assert candidate_pairs(cycle_instance(4, 1, k_e=2)) == 11
-    # P3 with k_v = 5 > n and k_e = 4 > m: all 8 vertex sets, all 4 edge sets
-    assert candidate_pairs(path_instance(3, 1, k_v=5, k_e=4)) == 32
+    # C4 with k_v = 0, k_e = 2: the empty U; s = 1 draws from
+    # min(4, C(2, 2)) = 1 edge, C(1, 1) = 1, and s = 2 from
+    # min(4, C(4, 2)) = 4 edges, C(4, 2) = 6: 1 * max(1, 1, 6) = 6
+    assert candidate_pairs(cycle_instance(4, 1, k_e=2)) == 6
+    # P3 with k_v = 5 > n, k_e = 4 > m: all C(3, 0..3) = 8 vertex sets;
+    # s = 1 gives C(min(2, 1), 1) = 1, s = 2 gives C(min(2, 6), 2) = 1,
+    # s = 3 and 4 give C(2, s) = 0: 8 * max(1, 1, 1, 0, 0) = 8
+    assert candidate_pairs(path_instance(3, 1, k_v=5, k_e=4)) == 8
+
+
+@pytest.mark.parametrize("m", range(0, 41, 3))
+def test_candidate_pairs_edge_factor_is_the_maximum_over_s(m):
+    # the closed form takes s = min(k_e, ceil(m / 2)); the definition is
+    # the maximum over every 1 <= s <= k_e
+    g = random.Random(m)
+    edges = set()
+    while len(edges) < m:  # m edges of K_12, planarity not needed here
+        a, b = sorted(g.sample(range(1, 13), 2))
+        edges.add((a, b))
+    for k_e in range(0, 30):
+        inst = make_instance(range(1, 13), sorted(edges), 0, k_e=k_e)
+        want = max([1] + [comb(min(m, comb(2 * s, 2)), s)
+                          for s in range(1, k_e + 1)])
+        assert candidate_pairs(inst) == want, (m, k_e)
 
 
 def test_fits_oracle_at_each_bound():
-    cycle = [(i, i + 1) for i in range(1, 12)] + [(1, 12)]
-    # 12 vertices and 18 edges, the cycle plus six chords, fit; a 19th does not
-    for last, fits in ((8, True), (9, False)):
-        chords = [(1, k) for k in range(3, last + 1)]
-        assert fits_oracle(make_instance(range(1, 13), cycle + chords, 1)) == fits
-    assert not fits_oracle(path_instance(13, 1))
-    # 2^12 = 4,096 pairs fit, 2^12 * (1 + 11) = 49,152 do not
-    assert fits_oracle(path_instance(12, 1, k_v=12))
-    assert not fits_oracle(path_instance(12, 1, k_v=12, k_e=1))
+    # a light vertex more doubles the vertex sets: 2^13 = 8,192 fit, and
+    # 2^14 = 16,384 do not, at any size cap; k_e = 1 adds no pair on a
+    # path (one edge among two vertices of excess 1), k_e = 2 does
+    assert fits_oracle(path_instance(13, 1, k_v=13))
+    assert fits_oracle(path_instance(13, 1, k_v=13, k_e=1))
+    assert not fits_oracle(path_instance(13, 1, k_v=13, k_e=2))
+    assert not fits_oracle(path_instance(14, 1, k_v=14))
+    # a vertex heavier than k_v is never deleted, so it adds no vertex set
+    heavy = path_instance(14, 1, k_v=13,
+                          weight_v={v: 14 if v == 14 else 1 for v in range(1, 15)})
+    assert candidate_pairs(heavy) == 2 ** 13 and fits_oracle(heavy)
+    # far above 12 vertices and 18 edges: C(40, <= 2) = 821 vertex sets,
+    # times 1 at k_e = 1 and C(6, 2) = 15 at k_e = 2
+    assert candidate_pairs(path_instance(40, 1, k_v=2, k_e=1)) == 821
+    assert fits_oracle(path_instance(40, 1, k_v=2, k_e=1))
+    assert not fits_oracle(path_instance(40, 1, k_v=2, k_e=2))
+
+
+def _as_auto(region, search=brute_force_min_cost):
+    """The enumeration as ``solve --method auto`` calls it: no size cap."""
+    return search(region, vertex_cap=region.graph.n, edge_cap=region.graph.m)
 
 
 def test_a_region_that_fits_is_never_truncated():
-    fitting = 0
-    above_caps = [generate_random_planar_instance(
+    fitting = above_caps = over = 0
+    larger = [generate_random_planar_instance(
         14 + s % 17, s % 3, s % 4, 6, (PLAIN, CONNECTED)[s % 2], seed=74_000 + s)
         for s in range(60)]
-    for inst in FIT_CORPUS + above_caps:
+    for inst in FIT_CORPUS + larger:
         region = active_region(inst)
-        if region is None or not fits_oracle(region):
+        if region is None:
+            continue
+        if not fits_oracle(region):
+            over += 1
             continue
         fitting += 1
-        rep = brute_force_min_cost(region)
-        assert not rep.truncated and len(rep.optima) <= candidate_pairs(region)
-    assert fitting >= 200, fitting
+        above_caps += region.graph.n > 12 or region.graph.m > 18
+        rep = _as_auto(region)
+        assert not rep.truncated
+        assert len(rep.optima) <= rep.search_space <= candidate_pairs(region)
+    # regions on both sides of the bound, and fitting ones above 12 / 18
+    assert fitting >= 200 and above_caps >= 20 and over >= 5, \
+        (fitting, above_caps, over)
 
 
 def test_solve_auto_refuses_a_truncated_report(monkeypatch):
@@ -181,6 +225,47 @@ def test_solve_auto_refuses_a_truncated_report(monkeypatch):
     inst = cycle_instance(4, 1, k_e=2, cost_budget=2)
     assert fits_oracle(active_region(inst))
     monkeypatch.setattr(cli, "brute_force_min_cost",
-                        lambda region: brute_force_min_cost(region, optima_cap=1))
+                        lambda region, **caps: brute_force_min_cost(
+                            region, **caps, optima_cap=1))
     with pytest.raises(RuntimeError, match="truncated"):
         cli._solve_with(inst, "auto", cli.DEFAULT_WIDTH_CAP)
+
+
+# -- differential: the search as it was, before U skipped heavy vertices ------
+
+
+DIFF_CORPUS = (FIT_CORPUS + random_corpus(300, 81_000)
+               + random_corpus(300, 82_000, raw=True))
+
+
+def test_the_search_matches_the_reference_field_for_field():
+    for inst in DIFF_CORPUS:
+        assert brute_force_min_cost(inst) == reference.brute_force_min_cost(inst), \
+            write_instance(inst)
+    # a cut list keeps the same first optima, by size of U and then
+    # lexicographically
+    cut = 0
+    for inst in DIFF_CORPUS:
+        for cap in (1, 2):
+            rep = brute_force_min_cost(inst, optima_cap=cap)
+            assert rep == reference.brute_force_min_cost(inst, optima_cap=cap)
+            cut += rep.truncated
+    assert cut >= 20, cut
+
+
+def test_the_search_matches_the_reference_on_regions_above_the_old_caps():
+    # regions of planted instances with up to 40 vertices that fit the
+    # bound, searched with the size caps lifted on both sides; the
+    # reference visits every U of at most k_v vertices, so n stays small
+    checked = 0
+    for n in (40, 80, 150):
+        for variant in (PLAIN, CONNECTED):
+            for k_v, k_e in ((1, 1), (2, 2), (1, 3)):
+                region = active_region(planted_yes(n, k_v, k_e, variant, 3))
+                if region is None or not fits_oracle(region) \
+                        or region.graph.n > 40:
+                    continue
+                checked += region.graph.n > 12
+                assert _as_auto(region) == \
+                    _as_auto(region, search=reference.brute_force_min_cost)
+    assert checked >= 8, checked
